@@ -150,31 +150,21 @@ impl ReportBatch {
     }
 
     /// Appends `report` if it is key-compatible with the batch: same
-    /// ε′, same declared length, and a timestamp representable as
-    /// `base_t + u32` (the first report fixes the key). Returns `false`
-    /// without modifying the batch when it is not — the caller flushes
-    /// the batch and retries, which always succeeds on an empty batch.
+    /// ε′, same declared length, a timestamp representable as
+    /// `base_t + u32` (the first report fixes the key), and room left
+    /// under [`MAX_FRAME_LEN`]. Returns `false` without modifying the
+    /// batch when it is not — the caller flushes the batch and retries,
+    /// which succeeds on an empty batch unless the report alone would
+    /// exceed a frame.
     pub fn try_push(&mut self, report: &Report) -> bool {
-        let nano = report.eps_nano();
-        if self.is_empty() {
-            self.base_t = report.t;
-            self.eps_nano = nano;
-            self.len = report.len;
-        } else if nano != self.eps_nano
-            || report.len != self.len
-            || report.t < self.base_t
-            || report.t - self.base_t > u32::MAX as u64
-            || self.t_delta.len() >= u32::MAX as usize
-            || self.encoded_len()
-                + 16
-                + report.unigrams.len() * 6
-                + report.exact.len() * 6
-                + report.transitions.len() * 8
-                > MAX_FRAME_LEN as usize
-        {
+        let row_bytes = row_len(
+            report.unigrams.len(),
+            report.exact.len(),
+            report.transitions.len(),
+        );
+        if !self.push_key(report.t, report.eps_nano(), report.len, row_bytes) {
             return false;
         }
-        self.t_delta.push((report.t - self.base_t) as u32);
         self.n_uni.push(report.unigrams.len() as u32);
         self.n_exact.push(report.exact.len() as u32);
         self.n_trans.push(report.transitions.len() as u32);
@@ -193,56 +183,91 @@ impl ReportBatch {
         true
     }
 
+    /// [`ReportBatch::try_push`] for a row borrowed from another batch:
+    /// the columns are copied slice by slice, with no row-form
+    /// [`Report`] in between.
+    pub(crate) fn try_push_row(&mut self, row: &BatchRow<'_>) -> bool {
+        let row_bytes = row_len(row.uni_pos.len(), row.exact_pos.len(), row.trans_tail.len());
+        if !self.push_key(row.t, row.eps_nano, row.len, row_bytes) {
+            return false;
+        }
+        self.n_uni.push(row.uni_pos.len() as u32);
+        self.n_exact.push(row.exact_pos.len() as u32);
+        self.n_trans.push(row.trans_tail.len() as u32);
+        self.uni_pos.extend_from_slice(row.uni_pos);
+        self.uni_region.extend_from_slice(row.uni_region);
+        self.exact_pos.extend_from_slice(row.exact_pos);
+        self.exact_region.extend_from_slice(row.exact_region);
+        self.trans_tail.extend_from_slice(row.trans_tail);
+        self.trans_head.extend_from_slice(row.trans_head);
+        true
+    }
+
+    /// The key and size check shared by both push paths: fixes the key
+    /// on an empty batch, refuses an incompatible or oversized row, and
+    /// otherwise appends the row's timestamp delta.
+    fn push_key(&mut self, t: u64, eps_nano: u64, len: u16, row_bytes: usize) -> bool {
+        if self.encoded_len() + row_bytes > MAX_FRAME_LEN as usize {
+            return false;
+        }
+        if self.is_empty() {
+            self.base_t = t;
+            self.eps_nano = eps_nano;
+            self.len = len;
+        } else if eps_nano != self.eps_nano
+            || len != self.len
+            || t < self.base_t
+            || t - self.base_t > u32::MAX as u64
+            || self.t_delta.len() >= u32::MAX as usize
+        {
+            return false;
+        }
+        self.t_delta.push((t - self.base_t) as u32);
+        true
+    }
+
     /// Reconstructs report `i`'s row-form, allocating. Cold paths only
-    /// (WAL replay, router fan-out); the hot ingest path stays
-    /// columnar. Prefer [`ReportBatch::reports`] when walking the whole
-    /// batch — `report_at` rescans the count columns to find offsets.
+    /// (WAL replay); the hot paths stay columnar. Prefer
+    /// [`ReportBatch::reports`] when walking the whole batch —
+    /// `report_at` rescans the count columns to find offsets.
     pub fn report_at(&self, i: usize) -> Report {
-        let u0: usize = self.n_uni[..i].iter().map(|&c| c as usize).sum();
-        let e0: usize = self.n_exact[..i].iter().map(|&c| c as usize).sum();
-        let t0: usize = self.n_trans[..i].iter().map(|&c| c as usize).sum();
-        self.report_from(i, u0, e0, t0)
+        self.rows()
+            .nth(i)
+            .expect("report index in range")
+            .to_report()
     }
 
     /// Iterates the batch as allocated row-form [`Report`]s, in order.
     pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
+        self.rows().map(|row| row.to_report())
+    }
+
+    /// Iterates the batch's rows in order, borrowed straight from the
+    /// columns (no allocation).
+    pub fn rows(&self) -> impl Iterator<Item = BatchRow<'_>> + '_ {
         let mut u0 = 0usize;
         let mut e0 = 0usize;
         let mut t0 = 0usize;
         (0..self.num_reports()).map(move |i| {
-            let r = self.report_from(i, u0, e0, t0);
-            u0 += self.n_uni[i] as usize;
-            e0 += self.n_exact[i] as usize;
-            t0 += self.n_trans[i] as usize;
-            r
+            let (u1, e1, t1) = (
+                u0 + self.n_uni[i] as usize,
+                e0 + self.n_exact[i] as usize,
+                t0 + self.n_trans[i] as usize,
+            );
+            let row = BatchRow {
+                t: self.t_of(i),
+                eps_nano: self.eps_nano,
+                len: self.len,
+                uni_pos: &self.uni_pos[u0..u1],
+                uni_region: &self.uni_region[u0..u1],
+                exact_pos: &self.exact_pos[e0..e1],
+                exact_region: &self.exact_region[e0..e1],
+                trans_tail: &self.trans_tail[t0..t1],
+                trans_head: &self.trans_head[t0..t1],
+            };
+            (u0, e0, t0) = (u1, e1, t1);
+            row
         })
-    }
-
-    fn report_from(&self, i: usize, u0: usize, e0: usize, t0: usize) -> Report {
-        let (nu, ne, nt) = (
-            self.n_uni[i] as usize,
-            self.n_exact[i] as usize,
-            self.n_trans[i] as usize,
-        );
-        let pair = |pos: &[u16], region: &[u32], at: usize, n: usize| {
-            pos[at..at + n]
-                .iter()
-                .zip(&region[at..at + n])
-                .map(|(&p, &r)| (p, r))
-                .collect()
-        };
-        Report {
-            t: self.t_of(i),
-            eps_prime: self.eps_nano as f64 / 1e9,
-            len: self.len,
-            unigrams: pair(&self.uni_pos, &self.uni_region, u0, nu),
-            exact: pair(&self.exact_pos, &self.exact_region, e0, ne),
-            transitions: self.trans_tail[t0..t0 + nt]
-                .iter()
-                .zip(&self.trans_head[t0..t0 + nt])
-                .map(|(&t, &h)| (t, h))
-                .collect(),
-        }
     }
 
     /// Batches `reports` wholesale; `None` if any report is not
@@ -294,76 +319,6 @@ impl ReportBatch {
     pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.encoded_len() as u32).to_le_bytes());
         self.encode_payload_into(out);
-    }
-
-    /// The frame's length prefix and fixed payload header as stack
-    /// arrays — the non-column bytes `write_frame_vectored` gathers.
-    fn frame_header(&self) -> ([u8; 4], [u8; Self::HEADER_LEN]) {
-        let mut h = [0u8; Self::HEADER_LEN];
-        h[0..4].copy_from_slice(&Self::MAGIC);
-        h[4..8].copy_from_slice(&(self.t_delta.len() as u32).to_le_bytes());
-        h[8..16].copy_from_slice(&self.base_t.to_le_bytes());
-        h[16..24].copy_from_slice(&self.eps_nano.to_le_bytes());
-        h[24..26].copy_from_slice(&self.len.to_le_bytes());
-        h[26..30].copy_from_slice(&(self.uni_pos.len() as u32).to_le_bytes());
-        h[30..34].copy_from_slice(&(self.exact_pos.len() as u32).to_le_bytes());
-        h[34..38].copy_from_slice(&(self.trans_tail.len() as u32).to_le_bytes());
-        ((self.encoded_len() as u32).to_le_bytes(), h)
-    }
-
-    /// Writes the length-prefixed `TSR4` frame as **one scatter-gather
-    /// write**: on little-endian targets the in-memory bytes of the
-    /// column vectors *are* the wire encoding, so the iovec list points
-    /// straight into column storage — prefix, header, ten columns, CRC —
-    /// and the assemble-into-a-contiguous-buffer copy disappears. The
-    /// CRC is chained across the segments with [`crc32_extend`], so the
-    /// bytes on the wire are identical to [`ReportBatch::encode_frame_into`]
-    /// (big-endian targets fall back to exactly that).
-    pub fn write_frame_vectored<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        #[cfg(target_endian = "little")]
-        {
-            use std::io::IoSlice;
-            let (prefix, header) = self.frame_header();
-            let cols: [&[u8]; 10] = [
-                u32s_as_bytes(&self.t_delta),
-                u32s_as_bytes(&self.n_uni),
-                u32s_as_bytes(&self.n_exact),
-                u32s_as_bytes(&self.n_trans),
-                u16s_as_bytes(&self.uni_pos),
-                u32s_as_bytes(&self.uni_region),
-                u16s_as_bytes(&self.exact_pos),
-                u32s_as_bytes(&self.exact_region),
-                u32s_as_bytes(&self.trans_tail),
-                u32s_as_bytes(&self.trans_head),
-            ];
-            let mut crc = crc32(&header);
-            for c in cols {
-                crc = crc32_extend(crc, c);
-            }
-            let crc_bytes = crc.to_le_bytes();
-            let mut io = [
-                IoSlice::new(&prefix),
-                IoSlice::new(&header),
-                IoSlice::new(cols[0]),
-                IoSlice::new(cols[1]),
-                IoSlice::new(cols[2]),
-                IoSlice::new(cols[3]),
-                IoSlice::new(cols[4]),
-                IoSlice::new(cols[5]),
-                IoSlice::new(cols[6]),
-                IoSlice::new(cols[7]),
-                IoSlice::new(cols[8]),
-                IoSlice::new(cols[9]),
-                IoSlice::new(&crc_bytes),
-            ];
-            trajshare_core::vio::write_all_vectored(w, &mut io)
-        }
-        #[cfg(target_endian = "big")]
-        {
-            let mut buf = Vec::with_capacity(4 + self.encoded_len());
-            self.encode_frame_into(&mut buf);
-            w.write_all(&buf)
-        }
     }
 
     /// Decodes a `TSR4` payload into this batch, reusing column
@@ -510,23 +465,6 @@ fn fill_u16(dst: &mut Vec<u16>, bytes: &[u8]) {
     );
 }
 
-/// Column storage viewed as wire bytes. Sound for any `#[repr(Rust)]`
-/// primitive-integer slice (no padding, every bit pattern valid); only
-/// *correct* as the wire encoding on little-endian targets, which is why
-/// every caller sits behind `#[cfg(target_endian = "little")]`.
-#[cfg(target_endian = "little")]
-fn u32s_as_bytes(vals: &[u32]) -> &[u8] {
-    // SAFETY: u32 has no padding bytes or invalid values, and the length
-    // in bytes cannot overflow because the slice already exists.
-    unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 4) }
-}
-
-#[cfg(target_endian = "little")]
-fn u16s_as_bytes(vals: &[u16]) -> &[u8] {
-    // SAFETY: as `u32s_as_bytes`.
-    unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 2) }
-}
-
 fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
     let start = out.len();
     out.resize(start + vals.len() * 4, 0);
@@ -543,11 +481,64 @@ fn put_u16s(out: &mut Vec<u8>, vals: &[u16]) {
     }
 }
 
+/// One report of a [`ReportBatch`], borrowed in place from its columns
+/// (what [`ReportBatch::rows`] yields): the router places and re-batches
+/// rows without ever materialising a row-form [`Report`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchRow<'a> {
+    /// Report timestamp (`base_t + t_delta`, saturating).
+    pub t: u64,
+    /// The batch's shared ε′, nano-ε.
+    pub eps_nano: u64,
+    /// The batch's shared declared |τ|.
+    pub len: u16,
+    /// Unigram positions.
+    pub uni_pos: &'a [u16],
+    /// Unigram regions, parallel to `uni_pos`.
+    pub uni_region: &'a [u32],
+    /// Exact-position positions.
+    pub exact_pos: &'a [u16],
+    /// Exact-position regions, parallel to `exact_pos`.
+    pub exact_region: &'a [u32],
+    /// Transition tails.
+    pub trans_tail: &'a [u32],
+    /// Transition heads, parallel to `trans_tail`.
+    pub trans_head: &'a [u32],
+}
+
+impl BatchRow<'_> {
+    /// The row as an allocated row-form [`Report`].
+    pub fn to_report(&self) -> Report {
+        let pairs =
+            |pos: &[u16], region: &[u32]| pos.iter().copied().zip(region.iter().copied()).collect();
+        Report {
+            t: self.t,
+            eps_prime: self.eps_nano as f64 / 1e9,
+            len: self.len,
+            unigrams: pairs(self.uni_pos, self.uni_region),
+            exact: pairs(self.exact_pos, self.exact_region),
+            transitions: self
+                .trans_tail
+                .iter()
+                .copied()
+                .zip(self.trans_head.iter().copied())
+                .collect(),
+        }
+    }
+}
+
+/// Encoded bytes one report adds to a batch: its four per-report
+/// columns plus its pairs.
+fn row_len(n_uni: usize, n_exact: usize, n_trans: usize) -> usize {
+    16 + n_uni * 6 + n_exact * 6 + n_trans * 8
+}
+
 /// Streams reports into length-prefixed `TSR4` frames, flushing a
 /// frame whenever the current batch reaches `max_reports` or the next
-/// report is not key-compatible (different ε′ or |τ|, or a timestamp
-/// delta that no longer fits). The shared codec for the client's
-/// batched sender and the router's uplink re-framing.
+/// report is not key-compatible (different ε′ or |τ|, a timestamp delta
+/// that no longer fits, or no room left under [`MAX_FRAME_LEN`]). The
+/// shared codec for the client's batched sender and the router's
+/// per-worker re-batching.
 #[derive(Debug)]
 pub struct BatchEncoder {
     batch: ReportBatch,
@@ -563,16 +554,32 @@ impl BatchEncoder {
         }
     }
 
-    /// Adds `report`, appending any completed frame to `out`.
-    pub fn push(&mut self, report: &Report, out: &mut Vec<u8>) {
+    /// Adds `report`, appending any completed frame to `out`. Returns
+    /// `false`, adding nothing, only when the report alone would exceed
+    /// [`MAX_FRAME_LEN`] — no frame could carry it.
+    pub fn push(&mut self, report: &Report, out: &mut Vec<u8>) -> bool {
+        self.push_with(out, |batch| batch.try_push(report))
+    }
+
+    /// [`BatchEncoder::push`] for a row borrowed from a decoded batch:
+    /// the columnar path, with no row-form [`Report`] in between.
+    pub fn push_row(&mut self, row: &BatchRow<'_>, out: &mut Vec<u8>) -> bool {
+        self.push_with(out, |batch| batch.try_push_row(row))
+    }
+
+    fn push_with(
+        &mut self,
+        out: &mut Vec<u8>,
+        mut push: impl FnMut(&mut ReportBatch) -> bool,
+    ) -> bool {
         if self.batch.num_reports() >= self.max_reports {
             self.flush(out);
         }
-        if !self.batch.try_push(report) {
-            self.flush(out);
-            let pushed = self.batch.try_push(report);
-            debug_assert!(pushed, "a report always fits an empty batch");
+        if push(&mut self.batch) {
+            return true;
         }
+        self.flush(out);
+        push(&mut self.batch)
     }
 
     /// Appends the in-progress frame (if any) to `out`.
@@ -581,39 +588,6 @@ impl BatchEncoder {
             self.batch.encode_frame_into(out);
             self.batch.clear();
         }
-    }
-
-    /// Adds `report`, writing any completed frame straight to `w` with
-    /// [`ReportBatch::write_frame_vectored`] — the zero-copy sibling of
-    /// [`BatchEncoder::push`] for callers holding a socket. Returns
-    /// whether a frame was written (at most one per call), so callers
-    /// can interleave ack draining with frame writes.
-    pub fn push_to<W: std::io::Write>(
-        &mut self,
-        report: &Report,
-        w: &mut W,
-    ) -> std::io::Result<bool> {
-        let mut wrote = false;
-        if self.batch.num_reports() >= self.max_reports {
-            wrote |= self.flush_to(w)?;
-        }
-        if !self.batch.try_push(report) {
-            wrote |= self.flush_to(w)?;
-            let pushed = self.batch.try_push(report);
-            debug_assert!(pushed, "a report always fits an empty batch");
-        }
-        Ok(wrote)
-    }
-
-    /// Writes the in-progress frame (if any) to `w`; returns whether a
-    /// frame went out.
-    pub fn flush_to<W: std::io::Write>(&mut self, w: &mut W) -> std::io::Result<bool> {
-        if self.batch.is_empty() {
-            return Ok(false);
-        }
-        self.batch.write_frame_vectored(w)?;
-        self.batch.clear();
-        Ok(true)
     }
 }
 
@@ -853,42 +827,73 @@ mod tests {
     }
 
     #[test]
-    fn vectored_frame_writer_is_byte_identical_to_encode() {
-        // Batches of several shapes, including empty column classes and
-        // non-lane-multiple column lengths.
-        for (n, len, seed) in [(1usize, 1u16, 9u32), (3, 5, 1), (17, 2, 4), (64, 7, 0)] {
-            let reports: Vec<Report> = (0..n)
-                .map(|i| toy_report(i as u64, 0.5, len, seed + i as u32))
-                .collect();
-            let batch = ReportBatch::from_reports(&reports).unwrap();
-            let mut want = Vec::new();
-            batch.encode_frame_into(&mut want);
-            let mut got = Vec::new();
-            batch.write_frame_vectored(&mut got).unwrap();
-            assert_eq!(got, want, "n={n} len={len}");
-        }
-    }
-
-    #[test]
-    fn push_to_streams_the_same_bytes_as_push() {
+    fn push_row_streams_the_same_bytes_as_push() {
+        // ε′ changes every third report, so frames split on key changes
+        // as well as on the cap.
         let reports: Vec<Report> = (0..40)
-            .map(|i| toy_report(i, if i % 2 == 0 { 0.5 } else { 0.25 }, 3, i as u32))
+            .map(|i| toy_report(i, if (i / 3) % 2 == 0 { 0.5 } else { 0.25 }, 3, i as u32))
             .collect();
         let mut want = Vec::new();
         let mut enc = BatchEncoder::new(8);
         for r in &reports {
-            enc.push(r, &mut want);
+            assert!(enc.push(r, &mut want));
         }
         enc.flush(&mut want);
+        // Re-batch the rows of differently cut source frames.
         let mut got = Vec::new();
         let mut enc = BatchEncoder::new(8);
-        let mut frames = 0;
-        for r in &reports {
-            frames += enc.push_to(r, &mut got).unwrap() as usize;
+        let mut source = ReportBatch::new();
+        for run in reports.chunks(3) {
+            let frame = ReportBatch::from_reports(run).unwrap();
+            source.decode_payload_into(&frame.encode_payload()).unwrap();
+            for row in source.rows() {
+                assert!(enc.push_row(&row, &mut got));
+            }
         }
-        frames += enc.flush_to(&mut got).unwrap() as usize;
+        enc.flush(&mut got);
         assert_eq!(got, want);
-        assert!(frames > 1, "the alternating keys must have split frames");
+    }
+
+    #[test]
+    fn rows_mirror_reports() {
+        // Rows of every shape: zero to three unigrams, with and without
+        // a transition.
+        let reports: Vec<Report> = (0..9)
+            .map(|i| {
+                let mut r = toy_report(7 + i, 1.5, 3, i as u32);
+                r.unigrams.truncate(i as usize % 4);
+                r.transitions.truncate(i as usize % 2);
+                r
+            })
+            .collect();
+        let batch = ReportBatch::from_reports(&reports).unwrap();
+        let rows: Vec<Report> = batch.rows().map(|r| r.to_report()).collect();
+        assert_eq!(rows, reports);
+        let mut copy = ReportBatch::new();
+        for row in batch.rows() {
+            assert!(copy.try_push_row(&row));
+        }
+        assert_eq!(copy, batch);
+    }
+
+    #[test]
+    fn a_report_that_cannot_fit_a_frame_is_refused() {
+        let n = (MAX_FRAME_LEN as usize) / 8;
+        let giant = Report {
+            t: 0,
+            eps_prime: 1.0,
+            len: 2,
+            unigrams: vec![],
+            exact: vec![],
+            transitions: vec![(0, 1); n],
+        };
+        let mut out = Vec::new();
+        let mut enc = BatchEncoder::new(4);
+        assert!(enc.push(&toy_report(0, 1.0, 2, 0), &mut out));
+        assert!(!enc.push(&giant, &mut out));
+        enc.flush(&mut out);
+        let plen = u32::from_le_bytes(out[0..4].try_into().unwrap()) as usize;
+        assert_eq!(out.len(), 4 + plen, "only the small report was framed");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! ```
 //!
 //! With `--addr` + at least one `--worker`, routerd accepts the
-//! unchanged TSR3 client protocol and partitions reports across the
-//! workers by consistent hashing. With at least one `--export` (each
+//! unchanged client protocol (`TSR2`/`TSR3` report frames, `TSR4` batch
+//! frames) and partitions reports across the workers by consistent
+//! hashing. With at least one `--export` (each
 //! worker's `ingestd --export-addr`) plus a region universe, routerd
 //! periodically pulls every worker's snapshot over `TSCL`, merges them
 //! bit-exactly, and publishes the cluster view (and, given a region

@@ -18,14 +18,15 @@
 //!   live worker.
 //! * [`router`] — `routerd`'s front door: accepts the existing
 //!   single-report client protocol unchanged plus `TSR4` batch frames,
-//!   routes each report to its worker over per-worker bounded queues
-//!   (backpressure by shedding, exactly like `ingestd`'s accept
-//!   queue), re-frames uplink writes as `TSR4` batches, reconnects
-//!   with backoff, and acks clients only with worker-confirmed durable
-//!   counts. A batch whose write already started is **never retried**
-//!   (the worker keeps everything it ingested before a failure, so a
-//!   retry would double-count; the affected reports simply go un-acked
-//!   and the client re-sends under its own policy).
+//!   re-batches each worker's reports as `TSR4` straight from the batch
+//!   columns, queues them on per-worker bounded queues (backpressure by
+//!   shedding, exactly like `ingestd`'s accept queue), streams them over
+//!   one persistent, pipelined connection per worker, reconnects with
+//!   backoff, and acks clients only with worker-confirmed durable
+//!   counts. A chunk whose bytes may have reached a worker is **never
+//!   resent** (the worker keeps everything it ingested before a
+//!   failure, so a resend would double-count; the affected reports
+//!   simply go un-acked and the client re-sends under its own policy).
 //! * [`coord`] — the coordinator: periodically pulls every worker's
 //!   counter + ring state over the `TSCL` snapshot-shipping protocol
 //!   (`trajshare_aggregate::clusterproto`), folds the latest full

@@ -1,60 +1,84 @@
-//! `routerd`'s front door: TSR2/TSR3/TSR4 in, batched per-worker
-//! uplinks out.
+//! `routerd`'s front door: TSR2/TSR3/TSR4 in, one pipelined `TSR4`
+//! uplink per worker out.
 //!
 //! ```text
-//!            ┌──────────┐ conn queue ┌─────────────┐ per-worker  ┌─────────┐
-//!  clients ─▶│ acceptor │──(bounded)▶│ client      │──(bounded)─▶│ uplink  │──▶ ingestd w
-//!            └──────────┘  full ⇒    │ handlers    │  report     │ threads │    (TSR4)
-//!                          refuse    │ (route by   │  queues     └─────────┘
-//!                                    │  hash ring) │  full ⇒ shed
-//!                                    └─────────────┘
+//!            ┌──────────┐ conn queue ┌─────────────┐ per-worker  ┌──────────┐  one open
+//!  clients ─▶│ acceptor │──(bounded)▶│ client      │──(bounded)─▶│ uplink   │═════════▶ ingestd w
+//!            └──────────┘  full ⇒    │ handlers    │  chunk      │ writer   │  TSR4    (TSR4)
+//!                          refuse    │ (key rows,  │  queues     ├──────────┤  frames
+//!                                    │  re-batch   │  full ⇒ shed│ ack      │◀═════════ cumulative
+//!                                    │  columns)   │             │ reader   │           acks
+//!                                    └─────────────┘             └──────────┘
 //! ```
 //!
 //! Clients speak the unchanged single-node protocol: stream
 //! `Report::encode_frame` frames (or `TSR4` batch frames), half-close,
-//! read `u64` acks — the last one is the durable total. The router
-//! validates each frame, picks each report's worker by consistent hash,
-//! and enqueues it on that worker's bounded queue; uplink threads drain
-//! the queues in batches, each batch re-framed as `TSR4` batch frames
-//! and shipped over one fresh worker connection (the worker's ack
-//! protocol is stream-to-EOF, last ack wins), and worker acks propagate
-//! back to the originating client connections in batch order. A
-//! client's ack therefore certifies exactly what the single-node ack
-//! certifies: that many reports validated, logged, and flushed by a
-//! worker.
+//! read `u64` acks — the last one is the durable total. A client
+//! handler validates each `TSR4` frame once
+//! ([`ReportBatch::decode_payload_into`]), computes every row's
+//! placement key straight from the columns ([`row_key`], bit-identical
+//! to the row form's [`report_key`]), and gathers each worker's rows
+//! into `TSR4` frame bytes ([`BatchEncoder::push_row`]). At the end of
+//! each read round it enqueues one *chunk* per worker: the frame bytes,
+//! the report count and the connection's ack tally. Single-report
+//! frames join the same chunks. No report becomes a row-form `Report`
+//! between the client socket and the worker socket.
+//!
+//! Each uplink keeps one worker connection open while its queue has
+//! work (a *busy period*). It writes chunks back to back, and a reader
+//! thread settles them FIFO from the worker's mid-stream cumulative
+//! acks as those arrive — the worker ingests frames in write order, so
+//! its cumulative count covers a prefix of the chunks written. Once the
+//! queue has been empty for [`RouterConfig::linger`], the uplink
+//! half-closes and reads the worker's final ack. Worker acks propagate
+//! to the originating client connections, so a client's ack certifies
+//! exactly what the single-node ack certifies: that many reports
+//! validated, logged, and flushed by a worker.
 //!
 //! A connection that sends `TSR4` frames additionally receives
 //! *cumulative* acks opportunistically mid-stream (written between
 //! reads, whenever more of its reports have settled durable), so a
 //! batching client that loses the router mid-upload still holds a
-//! worker-certified floor — a crash costs it the in-flight batches, not
+//! worker-certified floor — a crash costs it the in-flight chunks, not
 //! the whole connection's progress. Connections that only ever send
 //! single-report frames see the classic wire exchange, byte for byte:
 //! one ack at EOF.
 //!
 //! **Failure semantics — the double-count rule.** A worker keeps every
 //! report it ingested from a stream that later failed (each frame is an
-//! independent LDP message), so the router must never resend a batch
-//! whose write already started — those reports are simply reported
-//! un-acked ([`RouterStats::routed_failed`]) and the client decides, as
-//! it would against a single node. Only *connecting* retries: with
-//! exponential backoff on the home worker, then failover to the next
-//! live worker on the ring — placement is a balance decision, not a
-//! correctness one, because the cluster merge is exact under any
-//! partition.
+//! independent LDP message), so the router never resends a chunk whose
+//! bytes may have reached a worker. On any uplink write or read error
+//! every in-flight chunk is settled — reports below the worker's last
+//! cumulative ack count as acked, the rest as
+//! [`RouterStats::routed_failed`] — and the worker is marked down; the
+//! client decides, as it would against a single node. Only *connecting*
+//! retries: with exponential backoff on the home worker, then failover
+//! to the next live worker on the ring — placement is a balance
+//! decision, not a correctness one, because the cluster merge is exact
+//! under any partition.
+//!
+//! **Conn-advance budget.** A worker's `max_conn_advance` (how far one
+//! connection may push its watermark) is per connection, and an
+//! uplink's connection now lasts a whole busy period: behind a router
+//! the budget covers every report routed to that worker until the
+//! uplink idles for `linger`, not one client's stream. A frame the
+//! worker refuses under it never enters the cumulative ack, so the
+//! chunks written after it settle only when the busy period ends (FIFO
+//! against the final ack). The default (`u64::MAX`, no limit) is
+//! unaffected.
 
-use crate::hash::{report_key, HashRing};
+use crate::hash::{report_key, row_key, HashRing};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trajshare_aggregate::grant;
 use trajshare_aggregate::{
-    BatchEncoder, GrantBoard, GrantFrame, GrantSubscriber, Report, ReportBatch, StreamDecoder,
-    WireFrame,
+    BatchEncoder, GrantBoard, GrantFrame, GrantSubscriber, ReportBatch, StreamDecoder, WireFrame,
 };
 
 /// Router deployment shape.
@@ -68,27 +92,32 @@ pub struct RouterConfig {
     pub client_threads: usize,
     /// Pending-connection queue depth; full ⇒ connections refused.
     pub conn_queue_depth: usize,
-    /// Per-worker routed-report queue depth; full past
-    /// `enqueue_timeout` ⇒ the report is shed (un-acked).
+    /// Per-worker queue capacity, in reports: chunks are weighted by
+    /// their report count (an empty queue admits any one chunk). A
+    /// chunk that finds no room within `enqueue_timeout` is shed — its
+    /// reports go un-acked.
     pub worker_queue_depth: usize,
-    /// Max reports per uplink batch (= per worker connection).
+    /// Max reports per `TSR4` frame forwarded to a worker.
     pub batch_max: usize,
-    /// How long an uplink waits to top up a non-full batch.
+    /// How long an uplink keeps its worker connection open with an
+    /// empty queue before it half-closes and reads the final ack (the
+    /// end of a busy period). Chunks never wait for it: an uplink
+    /// writes each chunk as soon as it is queued.
     pub linger: Duration,
     /// How long a client handler waits for queue room before shedding.
     pub enqueue_timeout: Duration,
     /// How long a client connection waits at EOF for its routed
     /// reports' worker acks before acking what it has.
     pub ack_timeout: Duration,
-    /// Socket read timeout (client reads and uplink ack reads).
+    /// Socket timeout for client reads and for uplink reads and writes.
     pub read_timeout: Duration,
     /// Uplink reconnect backoff: first retry delay, doubling per
     /// failure up to `reconnect_backoff_max`.
     pub reconnect_backoff: Duration,
     /// Backoff ceiling.
     pub reconnect_backoff_max: Duration,
-    /// Connect attempts per candidate worker per batch (1 when the
-    /// worker is already marked down — fast failover).
+    /// Connect attempts per candidate worker per busy period (1 when
+    /// the worker is already marked down — fast failover).
     pub connect_attempts: u32,
     /// Virtual nodes per worker on the hash ring.
     pub vnodes: usize,
@@ -143,11 +172,11 @@ pub struct RouterStats {
     /// Reports shed (queue full) or lost to an uplink failure —
     /// un-acked toward their clients, never silently retried.
     pub routed_failed: AtomicU64,
-    /// Batches failed over to a non-home worker because the home
-    /// worker was unreachable.
+    /// Chunks shipped to a non-home worker because the home worker was
+    /// unreachable.
     pub rerouted_batches: AtomicU64,
-    /// Uplink connect failures (each marks the worker down until a
-    /// connect succeeds again).
+    /// Uplink connect failures and failed uplink connections (each
+    /// marks the worker down until a connect succeeds again).
     pub worker_down: AtomicU64,
 }
 
@@ -157,7 +186,7 @@ impl RouterStats {
     }
 }
 
-/// Per-client-connection ack bookkeeping, shared with every batch that
+/// Per-client-connection ack bookkeeping, shared with every chunk that
 /// carries one of the connection's reports.
 #[derive(Debug, Default)]
 struct ConnTally {
@@ -167,13 +196,110 @@ struct ConnTally {
     done: AtomicU64,
 }
 
-/// One report in flight to a worker: the validated report plus the
-/// originating connection's tally. The uplink re-frames queue drains as
-/// `TSR4` batch frames, so the queue carries decoded reports, not wire
-/// bytes.
-struct RoutedReport {
-    report: Report,
+impl ConnTally {
+    /// Decides the fate of `reports` of the connection's reports, the
+    /// first `acked` of them worker-acked and the rest failed. `acked`
+    /// is published before `done`, so a handler that sees every report
+    /// done reads the final acked count.
+    fn settle(&self, acked: u64, reports: u64, stats: &RouterStats) {
+        if acked > 0 {
+            self.acked.fetch_add(acked, Ordering::AcqRel);
+            stats.cluster_routed.fetch_add(acked, Ordering::Relaxed);
+        }
+        if reports > acked {
+            stats
+                .routed_failed
+                .fetch_add(reports - acked, Ordering::Relaxed);
+        }
+        self.done.fetch_add(reports, Ordering::AcqRel);
+    }
+}
+
+/// One client connection's reports for one worker from one read round:
+/// complete `TSR4` frames ready for the worker socket.
+struct Chunk {
+    frames: Vec<u8>,
+    reports: u64,
     tally: Arc<ConnTally>,
+}
+
+const QUEUE_POISONED: &str = "a handler or uplink panicked holding the chunk queue";
+const INFLIGHT_POISONED: &str = "an uplink thread panicked holding its in-flight list";
+
+/// A worker's bounded chunk queue, weighted by report count so a full
+/// queue holds about `worker_queue_depth` reports however the chunks
+/// are cut.
+struct ChunkQueue {
+    state: Mutex<QueuedChunks>,
+    depth: u64,
+    /// Signalled when the uplink takes chunks (room for handlers).
+    room: Condvar,
+    /// Signalled when a handler queues a chunk (work for the uplink).
+    work: Condvar,
+}
+
+#[derive(Default)]
+struct QueuedChunks {
+    chunks: VecDeque<Chunk>,
+    reports: u64,
+}
+
+impl ChunkQueue {
+    fn new(depth: usize) -> Self {
+        ChunkQueue {
+            state: Mutex::new(QueuedChunks::default()),
+            depth: depth.max(1) as u64,
+            room: Condvar::new(),
+            work: Condvar::new(),
+        }
+    }
+
+    /// Queues `chunk`, waiting up to `timeout` for room. Hands the chunk
+    /// back when the queue stayed full (or the router is stopping): the
+    /// caller sheds it. An empty queue admits any chunk, so one larger
+    /// than the whole depth cannot wedge.
+    fn push(&self, chunk: Chunk, timeout: Duration, stop: &AtomicBool) -> Result<(), Chunk> {
+        let deadline = Instant::now() + timeout;
+        let mut q = self.state.lock().expect(QUEUE_POISONED);
+        while q.reports > 0 && q.reports + chunk.reports > self.depth {
+            let now = Instant::now();
+            if now >= deadline || stop.load(Ordering::SeqCst) {
+                return Err(chunk);
+            }
+            q = self
+                .room
+                .wait_timeout(q, deadline - now)
+                .expect(QUEUE_POISONED)
+                .0;
+        }
+        q.reports += chunk.reports;
+        q.chunks.push_back(chunk);
+        drop(q);
+        self.work.notify_one();
+        Ok(())
+    }
+
+    /// Moves every queued chunk into `out`, waiting up to `timeout` for
+    /// the first; `out` stays empty when none came.
+    fn pop_all(&self, timeout: Duration, out: &mut Vec<Chunk>) {
+        let deadline = Instant::now() + timeout;
+        let mut q = self.state.lock().expect(QUEUE_POISONED);
+        while q.chunks.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            q = self
+                .work
+                .wait_timeout(q, deadline - now)
+                .expect(QUEUE_POISONED)
+                .0;
+        }
+        out.extend(q.chunks.drain(..));
+        q.reports = 0;
+        drop(q);
+        self.room.notify_all();
+    }
 }
 
 /// Marker type for [`Router::start`].
@@ -215,34 +341,38 @@ impl Router {
         let board = config.grants.then(|| Arc::new(GrantBoard::new()));
 
         let mut threads = Vec::new();
-        let mut uplink_txs = Vec::with_capacity(config.workers.len());
-        for (w, &worker_addr) in config.workers.iter().enumerate() {
-            let (tx, rx) = channel::bounded::<RoutedReport>(config.worker_queue_depth.max(1));
-            uplink_txs.push(tx);
+        let queues: Arc<Vec<ChunkQueue>> = Arc::new(
+            config
+                .workers
+                .iter()
+                .map(|_| ChunkQueue::new(config.worker_queue_depth))
+                .collect(),
+        );
+        for w in 0..config.workers.len() {
+            let queues = Arc::clone(&queues);
             let cfg = config.clone();
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             let workers_up = Arc::clone(&workers_up);
             threads.push(std::thread::spawn(move || {
-                uplink_loop(w, worker_addr, rx, cfg, stats, stop, workers_up)
+                uplink_loop(w, &queues[w], &cfg, &stats, &stop, &workers_up)
             }));
         }
 
         let (conn_tx, conn_rx) = channel::bounded::<TcpStream>(config.conn_queue_depth.max(1));
         for _ in 0..config.client_threads.max(1) {
             let rx = conn_rx.clone();
-            let txs = uplink_txs.clone();
+            let queues = Arc::clone(&queues);
             let ring = Arc::clone(&ring);
             let cfg = config.clone();
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             let board = board.clone();
             threads.push(std::thread::spawn(move || {
-                client_loop(rx, txs, ring, cfg, stats, stop, board)
+                client_loop(rx, &queues, ring, cfg, stats, stop, board)
             }));
         }
         drop(conn_rx);
-        drop(uplink_txs);
 
         {
             let stats = Arc::clone(&stats);
@@ -342,7 +472,7 @@ fn acceptor_loop(
 #[allow(clippy::too_many_arguments)]
 fn client_loop(
     rx: channel::Receiver<TcpStream>,
-    txs: Vec<channel::Sender<RoutedReport>>,
+    queues: &[ChunkQueue],
     ring: Arc<HashRing>,
     config: RouterConfig,
     stats: Arc<RouterStats>,
@@ -353,7 +483,7 @@ fn client_loop(
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(stream) => handle_client(
                 stream,
-                &txs,
+                queues,
                 &ring,
                 &config,
                 &stats,
@@ -392,16 +522,23 @@ fn write_client_ack(stream: &mut TcpStream, framed: &Option<GrantSubscriber>, ac
     }
 }
 
-/// Reads one client stream to EOF, routing every validated frame to its
-/// worker's queue, then waits for the worker acks and acks the client.
-/// A `TSGH` hello upgrades the server→client direction to control
-/// frames (framed acks, pushed grants) exactly as at a worker's front
-/// door — the grant session is transparent to whether a router sits in
-/// between.
+/// A client handler's frames for one worker in the current read round.
+struct Staged {
+    enc: BatchEncoder,
+    frames: Vec<u8>,
+    reports: u64,
+}
+
+/// Reads one client stream to EOF, routing every validated frame's
+/// reports to their workers' queues, then waits for the worker acks and
+/// acks the client. A `TSGH` hello upgrades the server→client direction
+/// to control frames (framed acks, pushed grants) exactly as at a
+/// worker's front door — the grant session is transparent to whether a
+/// router sits in between.
 #[allow(clippy::too_many_arguments)]
 fn handle_client(
     mut stream: TcpStream,
-    txs: &[channel::Sender<RoutedReport>],
+    queues: &[ChunkQueue],
     ring: &HashRing,
     config: &RouterConfig,
     stats: &RouterStats,
@@ -417,11 +554,16 @@ fn handle_client(
     let mut framed: Option<GrantSubscriber> = None;
     let tally = Arc::new(ConnTally::default());
     let mut decoder = StreamDecoder::new();
-    // Batch-frame decode scratch (reused across frames) and a reusable
-    // buffer for re-encoding a batched report's payload, which the
-    // routing key hashes for multi-point reports.
+    // Batch-frame decode scratch, reused across frames.
     let mut batch_scratch = ReportBatch::new();
-    let mut key_buf = Vec::new();
+    let mut staged: Vec<Staged> = queues
+        .iter()
+        .map(|_| Staged {
+            enc: BatchEncoder::new(config.batch_max),
+            frames: Vec::new(),
+            reports: 0,
+        })
+        .collect();
     // Reports enqueued toward workers (the denominator the EOF wait
     // compares `done` against).
     let mut sent = 0u64;
@@ -465,46 +607,23 @@ fn handle_client(
             }
             Ok(_) => {
                 loop {
-                    match decoder.next_wire_frame() {
+                    // A frame is valid when it decodes and each of its
+                    // reports fits a forwarded frame (a push fails only
+                    // for a report over `MAX_FRAME_LEN` once batched).
+                    let valid = match decoder.next_wire_frame() {
                         Ok(Some(WireFrame::Single { report, payload })) => {
-                            let worker = ring.worker_for(report_key(&report, payload));
-                            let routed = RoutedReport {
-                                report,
-                                tally: Arc::clone(&tally),
-                            };
-                            if enqueue(&txs[worker], routed, config.enqueue_timeout, stop) {
-                                sent += 1;
-                            } else {
-                                // Shed: queue stayed full past the
-                                // timeout (worker stalled and its queue
-                                // backed up). Not counted in `sent`, so
-                                // the client sees the shortfall.
-                                stats.bump(&stats.routed_failed);
-                            }
+                            let s = &mut staged[ring.worker_for(report_key(&report, payload))];
+                            s.reports += 1;
+                            s.enc.push(&report, &mut s.frames)
                         }
                         Ok(Some(WireFrame::Batch { payload })) => {
                             saw_batch = true;
-                            if batch_scratch.decode_payload_into(payload).is_err() {
-                                stats.bump(&stats.disconnected_protocol);
-                                return;
-                            }
-                            // The streaming iterator walks the columns
-                            // once (report_at(i) re-sums its offsets
-                            // per call, which is O(N²) over the batch).
-                            for report in batch_scratch.reports() {
-                                key_buf.clear();
-                                report.encode_frame_into(&mut key_buf);
-                                let worker = ring.worker_for(report_key(&report, &key_buf[4..]));
-                                let routed = RoutedReport {
-                                    report,
-                                    tally: Arc::clone(&tally),
-                                };
-                                if enqueue(&txs[worker], routed, config.enqueue_timeout, stop) {
-                                    sent += 1;
-                                } else {
-                                    stats.bump(&stats.routed_failed);
-                                }
-                            }
+                            batch_scratch.decode_payload_into(payload).is_ok()
+                                && batch_scratch.rows().all(|row| {
+                                    let s = &mut staged[ring.worker_for(row_key(&row))];
+                                    s.reports += 1;
+                                    s.enc.push_row(&row, &mut s.frames)
+                                })
                         }
                         Ok(Some(WireFrame::Hello { hello })) => {
                             // Upgrade to the grant session (idempotent
@@ -530,11 +649,41 @@ fn handle_client(
                                 }
                                 framed = Some(writer);
                             }
+                            true
                         }
                         Ok(None) => break,
-                        Err(_) => {
-                            stats.bump(&stats.disconnected_protocol);
-                            return;
+                        Err(_) => false,
+                    };
+                    if !valid {
+                        // Nothing of this read round has been queued:
+                        // every frame is validated before any chunk
+                        // leaves the handler.
+                        stats.bump(&stats.disconnected_protocol);
+                        return;
+                    }
+                }
+                // One chunk per worker per read round.
+                for (queue, s) in queues.iter().zip(&mut staged) {
+                    if s.reports == 0 {
+                        continue;
+                    }
+                    s.enc.flush(&mut s.frames);
+                    let reports = std::mem::take(&mut s.reports);
+                    let chunk = Chunk {
+                        frames: std::mem::take(&mut s.frames),
+                        reports,
+                        tally: Arc::clone(&tally),
+                    };
+                    match queue.push(chunk, config.enqueue_timeout, stop) {
+                        Ok(()) => sent += reports,
+                        Err(shed) => {
+                            // The worker's queue stayed full past the
+                            // timeout (worker stalled, queue backed
+                            // up). Not counted in `sent`, so the client
+                            // sees the shortfall.
+                            stats
+                                .routed_failed
+                                .fetch_add(shed.reports, Ordering::Relaxed);
                         }
                     }
                 }
@@ -568,123 +717,74 @@ fn handle_client(
     }
 }
 
-/// Bounded enqueue: `try_send` + short sleeps up to `timeout` (the
-/// compat channel has no `send_timeout`). Returns whether the report
-/// was enqueued.
-fn enqueue(
-    tx: &channel::Sender<RoutedReport>,
-    mut routed: RoutedReport,
-    timeout: Duration,
-    stop: &AtomicBool,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match tx.try_send(routed) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(r)) => {
-                if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
-                    return false;
-                }
-                routed = r;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
-}
-
-/// One worker's uplink: drain the queue in batches, ship each batch
-/// over a fresh worker connection, propagate acks. Exits when every
-/// client handler is gone (channel disconnected) or on stop with an
-/// empty queue.
+/// One worker's uplink: each busy period connects (home first, then
+/// failover), streams every chunk queued until the queue idles for
+/// `linger`, and settles them from the worker's acks. Exits on stop
+/// once the queue is empty.
 fn uplink_loop(
     home: usize,
-    home_addr: SocketAddr,
-    rx: channel::Receiver<RoutedReport>,
-    config: RouterConfig,
-    stats: Arc<RouterStats>,
-    stop: Arc<AtomicBool>,
-    workers_up: Arc<Vec<AtomicBool>>,
-) {
-    loop {
-        // First report of the next batch.
-        let first = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) && rx.is_empty() {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let mut batch = vec![first];
-        let linger_deadline = Instant::now() + config.linger;
-        while batch.len() < config.batch_max.max(1) {
-            let now = Instant::now();
-            if now >= linger_deadline {
-                break;
-            }
-            match rx.recv_timeout(linger_deadline - now) {
-                Ok(r) => batch.push(r),
-                Err(_) => break,
-            }
-        }
-        ship_batch(home, home_addr, batch, &config, &stats, &stop, &workers_up);
-    }
-}
-
-/// Ships one batch: home worker first (reconnect with exponential
-/// backoff), then failover around the ring. Exactly one write attempt
-/// ever happens — once bytes go out, a failure fails the batch.
-#[allow(clippy::too_many_arguments)]
-fn ship_batch(
-    home: usize,
-    home_addr: SocketAddr,
-    batch: Vec<RoutedReport>,
+    queue: &ChunkQueue,
     config: &RouterConfig,
     stats: &RouterStats,
     stop: &AtomicBool,
     workers_up: &[AtomicBool],
 ) {
-    // Candidate order: home, then the rest by index (any deterministic
-    // order works — placement does not affect the merged result).
+    let mut chunks = Vec::new();
+    loop {
+        if chunks.is_empty() {
+            queue.pop_all(Duration::from_millis(50), &mut chunks);
+            if chunks.is_empty() {
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                continue;
+            }
+        }
+        match connect_candidate(home, config, stats, stop, workers_up) {
+            Some((w, stream)) => {
+                let rerouted = w != home;
+                if !busy_period(stream, &mut chunks, rerouted, queue, config, stats) {
+                    stats.bump(&stats.io_errors);
+                    workers_up[w].store(false, Ordering::Relaxed);
+                    stats.bump(&stats.worker_down);
+                }
+                // Chunks still held were never written: the next pass
+                // places them afresh.
+            }
+            None => {
+                // Every worker unreachable: fail the chunks.
+                for c in chunks.drain(..) {
+                    c.tally.settle(0, c.reports, stats);
+                }
+            }
+        }
+    }
+}
+
+/// Connects for a busy period: the home worker first (with backoff),
+/// then the rest around the ring (any deterministic order works —
+/// placement does not affect the merged result).
+fn connect_candidate(
+    home: usize,
+    config: &RouterConfig,
+    stats: &RouterStats,
+    stop: &AtomicBool,
+    workers_up: &[AtomicBool],
+) -> Option<(usize, TcpStream)> {
     let n = config.workers.len();
     for i in 0..n {
         let w = (home + i) % n;
-        let addr = if w == home {
-            home_addr
-        } else {
-            config.workers[w]
-        };
-        // A worker already marked down gets one quick probe; the home
-        // worker (presumed up) gets the full backoff sequence.
+        // A worker already marked down gets one quick probe; one
+        // presumed up gets the full backoff sequence.
         let attempts = if workers_up[w].load(Ordering::Relaxed) {
             config.connect_attempts.max(1)
         } else {
             1
         };
-        match connect_with_backoff(addr, attempts, config, stop) {
+        match connect_with_backoff(config.workers[w], attempts, config, stop) {
             Some(stream) => {
                 workers_up[w].store(true, Ordering::Relaxed);
-                if w != home {
-                    stats.bump(&stats.rerouted_batches);
-                }
-                match write_and_ack(stream, &batch, config) {
-                    Ok(acked) => settle_batch(&batch, acked, stats),
-                    Err(_) => {
-                        // The write started: the worker may hold any
-                        // prefix of the batch durable without having
-                        // acked. Never resend — fail the whole batch
-                        // (un-acked toward clients) and mark the worker
-                        // down so the next batch probes fresh.
-                        stats.bump(&stats.io_errors);
-                        workers_up[w].store(false, Ordering::Relaxed);
-                        stats.bump(&stats.worker_down);
-                        settle_batch(&batch, 0, stats);
-                    }
-                }
-                return;
+                return Some((w, stream));
             }
             None => {
                 if workers_up[w].swap(false, Ordering::Relaxed) {
@@ -693,24 +793,7 @@ fn ship_batch(
             }
         }
     }
-    // Every worker unreachable: fail the batch.
-    settle_batch(&batch, 0, stats);
-}
-
-/// Resolves every report in the batch: the first `acked` (worker acks
-/// attribute FIFO — the worker ingests frames in write order, and its
-/// last cumulative ack counts the stream prefix it made durable) are
-/// confirmed, the rest failed.
-fn settle_batch(batch: &[RoutedReport], acked: u64, stats: &RouterStats) {
-    for (i, r) in batch.iter().enumerate() {
-        if (i as u64) < acked {
-            r.tally.acked.fetch_add(1, Ordering::AcqRel);
-            stats.bump(&stats.cluster_routed);
-        } else {
-            stats.bump(&stats.routed_failed);
-        }
-        r.tally.done.fetch_add(1, Ordering::AcqRel);
-    }
+    None
 }
 
 /// Tries to connect up to `attempts` times with doubling backoff.
@@ -738,95 +821,161 @@ fn connect_with_backoff(
     None
 }
 
-/// Re-frames the batch as `TSR4` batch frames (one frame per run of
-/// reports sharing an ε′/|τ| key, capped at `batch_max`), streams them
-/// over one connection, half-closes, and returns the worker's *last*
-/// cumulative `u64` ack. Each completed frame leaves as one
-/// scatter-gather write straight from the encoder's column storage
-/// ([`BatchEncoder::push_to`]) — no contiguous re-encode buffer — and
-/// acks arriving mid-write are drained without blocking after every
-/// written frame so a large batch can't deadlock against the worker's
-/// ack writes.
-fn write_and_ack(
-    mut stream: TcpStream,
-    batch: &[RoutedReport],
-    config: &RouterConfig,
-) -> std::io::Result<u64> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    let mut enc = BatchEncoder::new(config.batch_max.max(1));
-    let mut acks = UplinkAcks::default();
-    for r in batch {
-        if enc.push_to(&r.report, &mut stream)? {
-            acks.drain_nonblocking(&mut stream)?;
-        }
-    }
-    enc.flush_to(&mut stream)?;
-    stream.shutdown(Shutdown::Write)?;
-    acks.read_to_eof(&mut stream)
+/// A chunk written on the current uplink connection and not yet
+/// settled.
+struct Pending {
+    /// Reports written on the connection up to and including this
+    /// chunk.
+    end: u64,
+    reports: u64,
+    tally: Arc<ConnTally>,
 }
 
-/// Reassembles the worker's 8-byte cumulative acks from however the
-/// socket fragments them, keeping the last complete one (the acks are
-/// cumulative, so the last is the durable total).
+/// What the writer and the ack reader of one uplink connection share.
 #[derive(Default)]
-struct UplinkAcks {
-    partial: [u8; 8],
-    have: usize,
-    last: u64,
-    seen: bool,
+struct Inflight {
+    /// Written chunks, oldest first.
+    pending: VecDeque<Pending>,
+    /// The worker's latest cumulative ack on this connection.
+    acked: u64,
+    /// The reader has stopped: the connection is over.
+    closed: bool,
 }
 
-impl UplinkAcks {
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.partial[self.have] = b;
-            self.have += 1;
-            if self.have == 8 {
-                self.have = 0;
-                self.last = u64::from_le_bytes(self.partial);
-                self.seen = true;
+/// One busy period on one worker connection. Writes `chunks`, then
+/// every chunk queued after them, back to back, while a reader thread
+/// settles them from the worker's cumulative acks as those arrive.
+/// Ends when the queue has stayed empty for `linger` (half-close, read
+/// the final ack) or on the first error. Settles every chunk it wrote;
+/// chunks left in `chunks` were never written. Returns whether the
+/// connection ended cleanly.
+fn busy_period(
+    mut stream: TcpStream,
+    chunks: &mut Vec<Chunk>,
+    rerouted: bool,
+    queue: &ChunkQueue,
+    config: &RouterConfig,
+    stats: &RouterStats,
+) -> bool {
+    let reader = stream.try_clone();
+    let (Ok(reader), Ok(()), Ok(()), Ok(())) = (
+        reader,
+        stream.set_nodelay(true),
+        stream.set_read_timeout(Some(config.read_timeout)),
+        stream.set_write_timeout(Some(config.read_timeout)),
+    ) else {
+        // Nothing was written: the chunks may go elsewhere.
+        return false;
+    };
+    let inflight = Mutex::new(Inflight::default());
+    let half_closed = AtomicBool::new(false);
+    let (write_ok, read_clean) = std::thread::scope(|scope| {
+        let acks = scope.spawn(|| read_acks(reader, &inflight, &half_closed, stats));
+        let mut written = 0u64;
+        let write_ok = loop {
+            {
+                let mut f = inflight.lock().expect(INFLIGHT_POISONED);
+                // Once the worker has gone, later chunks stay unwritten.
+                // The first write goes out regardless: the connect just
+                // succeeded, so its failure is the write's to report.
+                if f.closed && written > 0 {
+                    break true;
+                }
+                for c in chunks.iter() {
+                    written += c.reports;
+                    f.pending.push_back(Pending {
+                        end: written,
+                        reports: c.reports,
+                        tally: Arc::clone(&c.tally),
+                    });
+                }
             }
-        }
-    }
-
-    fn drain_nonblocking(&mut self, stream: &mut TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(true)?;
-        let mut buf = [0u8; 1024];
-        let res = loop {
-            match stream.read(&mut buf) {
-                // Early close surfaces on the next write or final read.
-                Ok(0) => break Ok(()),
-                Ok(n) => self.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(e),
+            if rerouted {
+                stats
+                    .rerouted_batches
+                    .fetch_add(chunks.len() as u64, Ordering::Relaxed);
+            }
+            let mut io: Vec<IoSlice<'_>> = chunks.iter().map(|c| IoSlice::new(&c.frames)).collect();
+            let wrote = trajshare_core::vio::write_all_vectored(&mut stream, &mut io).is_ok();
+            chunks.clear();
+            if !wrote {
+                break false;
+            }
+            queue.pop_all(config.linger, chunks);
+            if chunks.is_empty() {
+                break true;
             }
         };
-        stream.set_nonblocking(false)?;
-        res
+        if write_ok {
+            half_closed.store(true, Ordering::SeqCst);
+            let _ = stream.shutdown(Shutdown::Write);
+        } else {
+            // Wakes the reader: nothing more will be acked.
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        (write_ok, acks.join().unwrap_or(false))
+    });
+    // Whatever the acks did not cover settles FIFO against the last
+    // cumulative ack: the worker ingests frames in write order, so the
+    // ack counts a prefix of what was written. The rest is failed —
+    // never resent, since the worker may hold any of it.
+    let f = inflight.into_inner().expect(INFLIGHT_POISONED);
+    for p in f.pending {
+        let start = p.end - p.reports;
+        p.tally.settle(
+            f.acked.saturating_sub(start).min(p.reports),
+            p.reports,
+            stats,
+        );
     }
+    write_ok && read_clean
+}
 
-    /// Blocks to EOF (bounded by the socket read timeout) and returns
-    /// the last cumulative ack. A worker that closed without ever
-    /// acking is an error — the caller settles the batch at zero, the
-    /// under-ack-safe direction.
-    fn read_to_eof(mut self, stream: &mut TcpStream) -> std::io::Result<u64> {
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Reads one uplink connection's cumulative acks until EOF, settling
+/// each written chunk as soon as an ack covers all of it. Returns
+/// whether the connection ended cleanly: EOF after the writer
+/// half-closed, with at least one ack seen (a worker that closes
+/// without acking has failed, as does one that closes early).
+fn read_acks(
+    mut stream: TcpStream,
+    inflight: &Mutex<Inflight>,
+    half_closed: &AtomicBool,
+    stats: &RouterStats,
+) -> bool {
+    let mut buf = [0u8; 1024];
+    let mut partial = [0u8; 8];
+    let mut have = 0usize;
+    let mut seen = false;
+    let clean = loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break half_closed.load(Ordering::SeqCst) && seen && have == 0,
+            Ok(n) => {
+                let mut latest = None;
+                for &b in &buf[..n] {
+                    partial[have] = b;
+                    have += 1;
+                    if have == 8 {
+                        have = 0;
+                        latest = Some(u64::from_le_bytes(partial));
+                    }
+                }
+                let Some(ack) = latest else { continue };
+                seen = true;
+                let mut f = inflight.lock().expect(INFLIGHT_POISONED);
+                f.acked = f.acked.max(ack);
+                while f.pending.front().is_some_and(|p| p.end <= f.acked) {
+                    let p = f.pending.pop_front().expect("front() was Some");
+                    p.tally.settle(p.reports, p.reports, stats);
+                }
             }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
         }
-        if !self.seen {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "worker closed before any ack",
-            ));
-        }
-        Ok(self.last)
+    };
+    inflight.lock().expect(INFLIGHT_POISONED).closed = true;
+    if !clean {
+        // Unblocks a writer stuck on a dead or stalled worker.
+        let _ = stream.shutdown(Shutdown::Both);
     }
+    clean
 }

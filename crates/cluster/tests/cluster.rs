@@ -463,3 +463,264 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
         let _ = std::fs::remove_dir_all(&d);
     }
 }
+
+/// TSR4 frame `f`: 50 distinct toy reports sharing one ε′, in timestamp
+/// order so they batch into a single frame.
+fn tsr4_frame(f: usize) -> (Vec<Report>, Vec<u8>) {
+    let mut reports: Vec<Report> = (0..50)
+        .map(|k| {
+            let mut r = toy_report((f * 50 + k) as u32);
+            r.eps_prime = 0.5 + (f % 5) as f64 * 0.25;
+            r
+        })
+        .collect();
+    reports.sort_by_key(|r| r.t);
+    let mut frame = Vec::new();
+    trajshare_aggregate::ReportBatch::from_reports(&reports)
+        .unwrap()
+        .encode_frame_into(&mut frame);
+    (reports, frame)
+}
+
+/// One paced TSR4 upload through the router.
+struct PacedUpload {
+    reports: Vec<Report>,
+    frames: usize,
+    /// Cumulative acks read before the half-close.
+    mid_stream_acks: Vec<u64>,
+    final_ack: u64,
+}
+
+/// Streams at least `min_frames` [`tsr4_frame`]s over one connection,
+/// `pace` apart, reading acks between writes — and keeps going (up to
+/// `max_frames`) until a mid-stream ack has arrived — then half-closes
+/// and reads the final ack. `progress` counts frames written.
+fn paced_upload(
+    addr: std::net::SocketAddr,
+    min_frames: usize,
+    max_frames: usize,
+    pace: Duration,
+    progress: &std::sync::atomic::AtomicUsize,
+) -> PacedUpload {
+    use std::io::{Read, Write};
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut up = PacedUpload {
+        reports: Vec::new(),
+        frames: 0,
+        mid_stream_acks: Vec::new(),
+        final_ack: 0,
+    };
+    let mut partial = Vec::new();
+    let mut feed = |bytes: &[u8], acks: &mut Vec<u64>| {
+        partial.extend_from_slice(bytes);
+        while partial.len() >= 8 {
+            acks.push(u64::from_le_bytes(partial[..8].try_into().unwrap()));
+            partial.drain(..8);
+        }
+    };
+    let mut buf = [0u8; 256];
+    while up.frames < min_frames || (up.mid_stream_acks.is_empty() && up.frames < max_frames) {
+        let (reports, frame) = tsr4_frame(up.frames);
+        conn.write_all(&frame).unwrap();
+        up.reports.extend(reports);
+        up.frames += 1;
+        progress.store(up.frames, Ordering::SeqCst);
+        std::thread::sleep(pace);
+        conn.set_nonblocking(true).unwrap();
+        loop {
+            match conn.read(&mut buf) {
+                Ok(0) => panic!("router closed mid-stream"),
+                Ok(n) => feed(&buf[..n], &mut up.mid_stream_acks),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("ack read: {e}"),
+            }
+        }
+        conn.set_nonblocking(false).unwrap();
+    }
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut tail = Vec::new();
+    loop {
+        match conn.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => feed(&buf[..n], &mut tail),
+            Err(e) => panic!("final ack read: {e}"),
+        }
+    }
+    up.final_ack = *tail
+        .last()
+        .or(up.mid_stream_acks.last())
+        .expect("an ack at EOF");
+    let mut all = up.mid_stream_acks.clone();
+    all.extend(&tail);
+    assert!(
+        all.windows(2).all(|w| w[0] <= w[1]),
+        "acks must be cumulative and monotone: {all:?}"
+    );
+    up
+}
+
+#[test]
+fn router_pipelines_tsr4_frames_over_persistent_uplinks() {
+    let (cfg_a, dir_a) = worker_config("pipe-a");
+    let (cfg_b, dir_b) = worker_config("pipe-b");
+    let (cfg_s, dir_s) = worker_config("pipe-single");
+    let a = IngestServer::start(cfg_a).unwrap();
+    let b = IngestServer::start(cfg_b).unwrap();
+    let single = IngestServer::start(cfg_s).unwrap();
+    let router = Router::start(router_config(vec![a.addr(), b.addr()])).unwrap();
+
+    let progress = std::sync::atomic::AtomicUsize::new(0);
+    let up = paced_upload(
+        router.addr(),
+        100,
+        1_000,
+        Duration::from_millis(1),
+        &progress,
+    );
+    let n = up.reports.len() as u64;
+    assert_eq!(up.final_ack, n, "every report acked");
+    assert!(
+        !up.mid_stream_acks.is_empty(),
+        "an ack must arrive before EOF"
+    );
+    assert_eq!(router.stats().cluster_routed.load(Ordering::Relaxed), n);
+
+    // One busy period carries many frames: far fewer worker
+    // connections than frames.
+    let conns =
+        a.stats().accepted.load(Ordering::Relaxed) + b.stats().accepted.load(Ordering::Relaxed);
+    assert!(
+        conns * 10 <= up.frames as u64,
+        "{conns} worker connections for {} frames",
+        up.frames
+    );
+
+    // The split is exact: the merged ring is bit-identical to a single
+    // node that ingested the same reports.
+    assert_eq!(stream_reports(single.addr(), &up.reports, 1).unwrap(), n);
+    let (na, nb) = (a.counts().num_reports, b.counts().num_reports);
+    assert!(na > 0 && nb > 0, "degenerate partition: {na}/{nb}");
+    let mut ccfg = CoordConfig::new(
+        vec![a.export_addr().unwrap(), b.export_addr().unwrap()],
+        vec![0u16; REGIONS],
+    );
+    ccfg.window = Some(WINDOW);
+    let view = Coordinator::new(ccfg).tick();
+    assert_eq!(view.merged_reports, n);
+    let single_ring = single.windowed_counts().unwrap();
+    assert_eq!(
+        view.ring_crc32.unwrap(),
+        snapshot_fingerprint(single_ring.merged())
+    );
+
+    // The idle uplink closed after `linger`, so a crash does not wait
+    // out the worker's read timeout on a held connection.
+    let t0 = std::time::Instant::now();
+    a.crash();
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "crash took {:?}",
+        t0.elapsed()
+    );
+
+    drop(router);
+    let _ = (b.shutdown(), single.shutdown());
+    for d in [dir_a, dir_b, dir_s] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+#[test]
+fn persistent_uplink_never_double_counts_when_a_worker_dies_mid_stream() {
+    let (cfg_a, dir_a) = worker_config("dc-a");
+    let (cfg_b, dir_b) = worker_config("dc-b");
+    let a = IngestServer::start(cfg_a).unwrap();
+    let b = IngestServer::start(cfg_b.clone()).unwrap();
+    let b_addr = b.addr();
+    let router = Router::start(router_config(vec![a.addr(), b_addr])).unwrap();
+
+    // Kill B while the upload is streaming through both uplinks.
+    let progress = std::sync::atomic::AtomicUsize::new(0);
+    let up = std::thread::scope(|s| {
+        let upload =
+            s.spawn(|| paced_upload(router.addr(), 200, 200, Duration::from_millis(1), &progress));
+        while progress.load(Ordering::SeqCst) < 60 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        b.crash();
+        upload.join().unwrap()
+    });
+    let sent = up.reports.len() as u64;
+    let stats = router.stats();
+    let routed = stats.cluster_routed.load(Ordering::Relaxed);
+    let failed = stats.routed_failed.load(Ordering::Relaxed);
+    assert_eq!(routed + failed, sent, "every report settled exactly once");
+    assert_eq!(up.final_ack, routed);
+    assert!(stats.worker_down.load(Ordering::Relaxed) > 0);
+
+    // Restart B from its WAL. Whatever a worker ingested stands, acked
+    // or not, and nothing was resent: acked ≤ merged ≤ sent.
+    let mut cfg_b2 = cfg_b;
+    cfg_b2.addr = b_addr;
+    let b2 = IngestServer::start(cfg_b2).unwrap();
+    let merged = a.counts().num_reports + b2.counts().num_reports;
+    assert!(
+        up.final_ack <= merged && merged <= sent,
+        "acked {} merged {merged} sent {sent}",
+        up.final_ack
+    );
+
+    drop(router);
+    let _ = (a.shutdown(), b2.shutdown());
+    for d in [dir_a, dir_b] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+#[test]
+fn router_drops_a_report_no_forwarded_frame_can_carry() {
+    use std::io::{Read, Write};
+
+    let (cfg_a, dir_a) = worker_config("oversize");
+    let a = IngestServer::start(cfg_a).unwrap();
+    let router = Router::start(router_config(vec![a.addr()])).unwrap();
+
+    // A TSR3 payload just under `MAX_FRAME_LEN` whose TSR4 re-batching
+    // (24 header bytes more) would exceed it: the router must refuse it
+    // at the front door, not ship a frame the worker rejects.
+    let max = trajshare_aggregate::MAX_FRAME_LEN as usize;
+    let giant = Report {
+        t: 0,
+        eps_prime: 1.0,
+        len: 2,
+        unigrams: vec![],
+        exact: vec![],
+        transitions: vec![(0, 1); (max - Report::HEADER_LEN) / 8],
+    };
+    let frame = giant.encode_frame();
+    assert!(frame.len() - 4 <= max);
+    let mut conn = std::net::TcpStream::connect(router.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // The router may close mid-write; only the missing ack matters.
+    let _ = conn.write_all(&frame);
+    let _ = conn.shutdown(std::net::Shutdown::Write);
+    let mut buf = [0u8; 8];
+    assert!(conn.read_exact(&mut buf).is_err(), "must not be acked");
+    assert_eq!(
+        router.stats().disconnected_protocol.load(Ordering::Relaxed),
+        1
+    );
+
+    // The uplink never saw it: well-formed traffic still flows.
+    let reports: Vec<Report> = (0..50).map(toy_report).collect();
+    assert_eq!(stream_reports(router.addr(), &reports, 1).unwrap(), 50);
+    assert_eq!(a.counts().num_reports, 50);
+    assert_eq!(router.stats().routed_failed.load(Ordering::Relaxed), 0);
+
+    drop(router);
+    let _ = a.shutdown();
+    let _ = std::fs::remove_dir_all(&dir_a);
+}
