@@ -39,16 +39,23 @@
 //!   horizon), and a shifting stream gets the whole recycled pool when
 //!   fresh data is actually worth buying.
 //!
-//! The accountant is the *decision* ledger; the durable mirror is the
-//! window ring ([`crate::stream::WindowedAggregator::record_spend`]), and
-//! the ingestion service persists the ledger itself
-//! (`WindowBudgetAccountant::encode`) so the invariant survives
-//! kill/restart — see `trajshare_service::server`.
+//! The accountant is the *decision* ledger. [`WindowPublisher`] wraps it
+//! into the publication gate both enforcement points run — the
+//! single-node ingestion service (`trajshare_service::server`) and the
+//! cluster coordinator (`trajshare_cluster::coord`): one pass allocates,
+//! settles, refuses and pre-grants over a merged window ring, and
+//! answers which windows may be published. The callers persist the
+//! ledger (`WindowBudgetAccountant::encode`) so the invariant survives
+//! kill/restart; the window ring's spend annotations
+//! ([`crate::stream::WindowedAggregator::record_spend`]) are its durable
+//! mirror.
 
 use crate::estimate::{ibu_frequencies, EmChannel};
+use crate::grant::GrantFrame;
 use crate::ingest::AggregateCounts;
 use crate::snapshot::{crc32, SnapshotError};
-use std::collections::VecDeque;
+use crate::stream::WindowedAggregator;
+use std::collections::{BTreeSet, VecDeque};
 use trajshare_core::RegionGraph;
 
 /// Nano-ε per ε — the integer grid shared with the report wire format.
@@ -341,7 +348,9 @@ pub struct WindowGrant {
 /// decisions regardless of either, so `--dump-counts` can show what was
 /// granted and settled long after the windows themselves expired, and so
 /// the budget horizon `w` may exceed the ring depth without the books
-/// silently forgetting live spend.
+/// silently forgetting live spend. It is also the books
+/// [`WindowPublisher`] judges a window against once the window has left
+/// the enforcement ledger but is still live in the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrantRecord {
     /// Absolute window id.
@@ -459,6 +468,15 @@ impl WindowBudgetAccountant {
     /// The newest grant on the books, as the broadcastable record.
     pub fn latest_grant(&self) -> Option<GrantRecord> {
         self.history.back().copied()
+    }
+
+    /// The grant-history record of `window`, if it is still in the
+    /// history (the history is ascending by window id).
+    pub fn grant_record(&self, window: u64) -> Option<GrantRecord> {
+        self.history
+            .binary_search_by_key(&window, |r| r.window)
+            .ok()
+            .map(|i| self.history[i])
     }
 
     /// The decided windows still inside the horizon, ascending.
@@ -679,9 +697,7 @@ impl WindowBudgetAccountant {
 
     /// Ledger blob magic ("TrajShare Budget Accountant").
     pub const MAGIC: [u8; 4] = *b"TSBA";
-    /// Ledger blob version. v2 appends the allocation epoch and the
-    /// grant history to the v1 body; v1 blobs (pre-grant-session
-    /// ledgers) still decode, with epoch 0 and an empty history.
+    /// Ledger blob version (the only one that decodes).
     pub const VERSION: u16 = 2;
 
     /// Serializes the ledger (config, decided watermark, horizon
@@ -726,7 +742,7 @@ impl WindowBudgetAccountant {
             out.extend_from_slice(&d.spent_nano.to_le_bytes());
             out.push(d.refused as u8);
         }
-        // v2 tail: allocation epoch + grant history.
+        // Allocation epoch + grant history.
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&(self.history.len() as u64).to_le_bytes());
         for r in &self.history {
@@ -758,7 +774,7 @@ impl WindowBudgetAccountant {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != 1 && version != Self::VERSION {
+        if version != Self::VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let mut off = 6;
@@ -832,42 +848,37 @@ impl WindowBudgetAccountant {
                 refused,
             });
         }
-        let (epoch, history) = if version >= 2 {
-            let epoch = take_u64(&mut off)?;
-            let hn = take_u64(&mut off)? as usize;
-            if hn > Self::GRANT_HISTORY_CAP {
+        let epoch = take_u64(&mut off)?;
+        let hn = take_u64(&mut off)? as usize;
+        if hn > Self::GRANT_HISTORY_CAP {
+            return Err(SnapshotError::Inconsistent);
+        }
+        let mut history = VecDeque::with_capacity(hn);
+        let mut prev_w: Option<u64> = None;
+        for _ in 0..hn {
+            let window = take_u64(&mut off)?;
+            let r_epoch = take_u64(&mut off)?;
+            let granted_nano = take_u64(&mut off)?;
+            let settled_nano = take_u64(&mut off)?;
+            let refused = match take_u8(&mut off)? {
+                0 => false,
+                1 => true,
+                _ => return Err(SnapshotError::Inconsistent),
+            };
+            // History is append-ordered by (monotonic) allocation, and
+            // settlement only clamps within the grant.
+            if settled_nano > granted_nano || prev_w.is_some_and(|p| window <= p) {
                 return Err(SnapshotError::Inconsistent);
             }
-            let mut history = VecDeque::with_capacity(hn);
-            let mut prev_w: Option<u64> = None;
-            for _ in 0..hn {
-                let window = take_u64(&mut off)?;
-                let r_epoch = take_u64(&mut off)?;
-                let granted_nano = take_u64(&mut off)?;
-                let settled_nano = take_u64(&mut off)?;
-                let refused = match take_u8(&mut off)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(SnapshotError::Inconsistent),
-                };
-                // History is append-ordered by (monotonic) allocation,
-                // and settlement only clamps within the grant.
-                if settled_nano > granted_nano || prev_w.is_some_and(|p| window <= p) {
-                    return Err(SnapshotError::Inconsistent);
-                }
-                prev_w = Some(window);
-                history.push_back(GrantRecord {
-                    window,
-                    epoch: r_epoch,
-                    granted_nano,
-                    settled_nano,
-                    refused,
-                });
-            }
-            (epoch, history)
-        } else {
-            (0, VecDeque::new())
-        };
+            prev_w = Some(window);
+            history.push_back(GrantRecord {
+                window,
+                epoch: r_epoch,
+                granted_nano,
+                settled_nano,
+                refused,
+            });
+        }
         if off != payload.len() {
             return Err(SnapshotError::Inconsistent);
         }
@@ -891,6 +902,197 @@ impl WindowBudgetAccountant {
             return Err(SnapshotError::Inconsistent);
         }
         Ok(acct)
+    }
+}
+
+/// What one [`WindowPublisher::decide`] pass changed, for the caller's
+/// stats, ring mirrors and grant broadcast.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PublisherPass {
+    /// Windows allocated this pass (first sight plus any pre-grant).
+    pub allocated: u64,
+    /// Windows newly refused this pass.
+    pub refused: u64,
+    /// `(window, settled spend)` of every in-horizon window settled this
+    /// pass, ascending — what the caller mirrors onto its rings.
+    pub settled: Vec<(u64, u64)>,
+    /// The standing grant for the next window (pre-granting passes
+    /// only): freshly allocated this pass, or the latest decision
+    /// re-announced unchanged.
+    pub grant: Option<GrantFrame>,
+}
+
+/// The `w`-window publication gate over a merged window ring — the one
+/// budget engine behind both the single-node ingestion service and the
+/// cluster coordinator. It owns the [`WindowBudgetAccountant`], the sets
+/// of live windows accepted for and refused from publication, and the
+/// ledger bytes last handed to [`WindowPublisher::persist`].
+///
+/// Each [`WindowPublisher::decide`] pass walks the live windows in
+/// ascending order: a window above the decided watermark is allocated on
+/// first sight, then every window is settled against its cohort's
+/// worst-case (max) per-report ε′. A window the ledger no longer holds
+/// is judged against its **books** — the settled spend and refusal its
+/// grant-history record carries past the horizon:
+///
+/// * **expired-but-live** (a ring deeper than the horizon keeps it):
+///   late reports raising the cohort's max ε′ above the settled spend
+///   are unaccounted surplus, so the window is refused — the same
+///   frozen-window rule [`WindowBudgetAccountant::settle`] applies
+///   inside the horizon; at or below the books it stays accepted. A
+///   refusal is sticky.
+/// * **no books** (a gap window that appeared behind the decided
+///   watermark and so was never granted, or one older than the grant
+///   history): its spend cannot be checked, so it is refused unless it
+///   was already accepted.
+///
+/// Publication status is not persisted: a publisher built over a
+/// restored ledger starts with empty sets and re-earns every status on
+/// its first pass — the ledger and its grant history are the whole
+/// durable state.
+#[derive(Debug, Clone)]
+pub struct WindowPublisher {
+    accountant: WindowBudgetAccountant,
+    /// Live windows whose spend is on the books — the only windows a
+    /// published estimate may use.
+    accepted: BTreeSet<u64>,
+    /// Live windows refused (over-grant or unaccountable).
+    refused: BTreeSet<u64>,
+    /// Ledger encoding as last persisted (empty until the first write).
+    persisted: Vec<u8>,
+}
+
+impl WindowPublisher {
+    /// A publisher over `accountant` — fresh, or restored from a
+    /// persisted ledger.
+    pub fn new(accountant: WindowBudgetAccountant) -> Self {
+        WindowPublisher {
+            accountant,
+            accepted: BTreeSet::new(),
+            refused: BTreeSet::new(),
+            persisted: Vec::new(),
+        }
+    }
+
+    /// The ledger behind the gate.
+    pub fn accountant(&self) -> &WindowBudgetAccountant {
+        &self.accountant
+    }
+
+    /// Whether window `id` may be published: its spend is on the books
+    /// and no rule refused it.
+    pub fn may_publish(&self, id: u64) -> bool {
+        self.accepted.contains(&id)
+    }
+
+    /// Live windows accepted for publication, ascending.
+    pub fn accepted(&self) -> impl Iterator<Item = u64> + '_ {
+        self.accepted.iter().copied()
+    }
+
+    /// Live windows refused from publication, ascending.
+    pub fn refused(&self) -> impl Iterator<Item = u64> + '_ {
+        self.refused.iter().copied()
+    }
+
+    /// One decision pass over `view`: allocate, settle and judge every
+    /// live window with id ≤ `through`, then — when `pregrant` is set —
+    /// decide the *next* window's grant before any of its data exists,
+    /// so grant-following clients randomize at the announced rate and
+    /// settlement later observes spend == grant. The next window is the
+    /// ring's newest while the view holds no reports (bootstrap: the
+    /// first window clients will fill) and the one after it otherwise;
+    /// an already-decided next window re-announces the standing grant.
+    /// The divergence signal for each allocation is [`window_divergence`]
+    /// between the window and its live predecessor (1.0 — buy data — on
+    /// a cold start or across a gap), under `graph` when one is given.
+    pub fn decide(
+        &mut self,
+        view: &WindowedAggregator,
+        through: u64,
+        pregrant: bool,
+        graph: Option<&RegionGraph>,
+    ) -> PublisherPass {
+        let windows = view.windows();
+        let shift = |k: usize| match k.checked_sub(1) {
+            Some(j) if windows[j].0 + 1 == windows[k].0 => {
+                window_divergence(graph, windows[j].1, windows[k].1)
+            }
+            _ => 1.0,
+        };
+        let mut pass = PublisherPass::default();
+        for (k, &(id, counts)) in windows.iter().enumerate() {
+            if id > through {
+                break;
+            }
+            if self.accountant.decided().is_none_or(|d| id > d) {
+                self.accountant.allocate(id, shift(k));
+                pass.allocated += 1;
+            }
+            // The `w`-window contract is per user, so settlement bounds
+            // the cohort's worst reporter, not its mean.
+            let observed = counts.max_eps_nano();
+            let refuse = match self.accountant.settle(id, observed) {
+                Some(decision) => {
+                    pass.settled.push((id, decision.spent_nano));
+                    decision.refused
+                }
+                None => match self.accountant.grant_record(id) {
+                    Some(books) => {
+                        books.refused || observed > books.settled_nano || self.refused.contains(&id)
+                    }
+                    None => !self.accepted.contains(&id),
+                },
+            };
+            if refuse {
+                self.accepted.remove(&id);
+                if self.refused.insert(id) {
+                    pass.refused += 1;
+                }
+            } else {
+                self.refused.remove(&id);
+                self.accepted.insert(id);
+            }
+        }
+        if pregrant {
+            let next = if view.merged().num_reports == 0 {
+                view.newest_window()
+            } else {
+                view.newest_window() + 1
+            };
+            if self.accountant.decided().is_none_or(|d| next > d) {
+                let divergence = windows.len().checked_sub(1).map_or(1.0, shift);
+                self.accountant.allocate(next, divergence);
+                pass.allocated += 1;
+            }
+            pass.grant = self.accountant.latest_grant().map(|r| GrantFrame {
+                epoch: r.epoch,
+                window: r.window,
+                granted_nano: r.granted_nano,
+            });
+        }
+        // Status of windows that slid out of the ring gates nothing.
+        let oldest = view.oldest_window();
+        self.accepted.retain(|&id| id >= oldest);
+        self.refused.retain(|&id| id >= oldest);
+        pass
+    }
+
+    /// Hands the encoded ledger to `write` when it changed since the
+    /// last successful write. Callers persist before broadcasting a
+    /// pass's grant, so a grant any client saw is always on disk and a
+    /// restart re-announces it instead of re-deciding it. A failed write
+    /// is returned unchanged and retried on the next call.
+    pub fn persist(
+        &mut self,
+        write: impl FnOnce(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let encoded = self.accountant.encode();
+        if encoded != self.persisted {
+            write(&encoded)?;
+            self.persisted = encoded;
+        }
+        Ok(())
     }
 }
 
@@ -1126,29 +1328,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_ledger_blobs_still_decode() {
-        let mut acct = WindowBudgetAccountant::new(cfg(5_000, 4, AllocationPolicy::adaptive()));
-        for w in 0..6 {
-            acct.allocate(w, 0.5);
-            acct.settle(w, 100 * w).unwrap();
-        }
-        let blob = acct.encode();
-        // Strip the v2 tail (epoch + history) and restamp as v1.
-        let tail = 8 + 8 + 33 * acct.grant_history().count();
-        let mut v1 = blob[..blob.len() - 4 - tail].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-        let back = WindowBudgetAccountant::decode(&v1).unwrap();
-        assert_eq!(back.decided(), acct.decided());
-        assert_eq!(back.sliding_spend_nano(), acct.sliding_spend_nano());
-        assert_eq!(back.current_epoch(), 0, "v1 carries no epoch");
-        assert_eq!(back.grant_history().count(), 0, "v1 carries no history");
-        // And its decisions match entry for entry.
-        assert!(back.decisions().eq(acct.decisions()));
-    }
-
-    #[test]
     fn codec_roundtrips_and_refuses_corruption() {
         let mut acct =
             WindowBudgetAccountant::new(cfg(5_000_000_000, 4, AllocationPolicy::adaptive()));
@@ -1164,6 +1343,15 @@ mod tests {
         bad[9] ^= 0x10;
         assert!(WindowBudgetAccountant::decode(&bad).is_err());
         assert!(WindowBudgetAccountant::decode(&blob[..20]).is_err());
+        // The retired v1 layout is refused by version, not misparsed.
+        let mut v1 = blob[..blob.len() - 4].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            WindowBudgetAccountant::decode(&v1),
+            Err(SnapshotError::UnsupportedVersion(1))
+        );
         // A hand-built over-spent ledger is refused even with a valid CRC.
         let mut evil = WindowBudgetAccountant::new(cfg(100, 2, AllocationPolicy::Uniform));
         evil.allocate(0, 1.0);
@@ -1173,6 +1361,188 @@ mod tests {
         evil.ledger[1].spent_nano = 90;
         evil.ledger[1].granted_nano = 90;
         assert!(WindowBudgetAccountant::decode(&evil.encode()).is_err());
+    }
+
+    // ---- WindowPublisher over scripted rings -----------------------------
+
+    use crate::report::Report;
+    use crate::stream::WindowConfig;
+
+    /// 3ε over a 3-window horizon, uniform: every window's grant is 1ε.
+    fn publisher() -> WindowPublisher {
+        WindowPublisher::new(WindowBudgetAccountant::new(cfg(
+            eps_to_nano(3.0),
+            3,
+            AllocationPolicy::Uniform,
+        )))
+    }
+
+    /// A `depth`-window ring over 4 regions, 10 time units per window.
+    fn ring(depth: usize) -> WindowedAggregator {
+        WindowedAggregator::new(
+            vec![0u16; 4],
+            WindowConfig {
+                window_len: 10,
+                num_windows: depth,
+            },
+        )
+    }
+
+    /// Adds `n` single-point reports at `eps` to window `w`.
+    fn fill(ring: &mut WindowedAggregator, w: u64, eps: f64, n: u32) {
+        for i in 0..n {
+            ring.ingest(&Report {
+                t: w * 10,
+                eps_prime: eps,
+                len: 1,
+                unigrams: vec![(0, i % 4)],
+                exact: vec![(0, i % 4)],
+                transitions: Vec::new(),
+            });
+        }
+    }
+
+    fn refused(p: &WindowPublisher) -> Vec<u64> {
+        p.refused().collect()
+    }
+
+    #[test]
+    fn publisher_allocates_on_first_sight_and_refuses_gaps_and_frozen_over_claims() {
+        let mut p = publisher();
+        let mut view = ring(6);
+        fill(&mut view, 0, 0.75, 5);
+        fill(&mut view, 1, 0.75, 5);
+        let pass = p.decide(&view, u64::MAX, false, None);
+        assert_eq!(pass.allocated, 2, "each window allocated on first sight");
+        assert_eq!(pass.refused, 0);
+        let spent = eps_to_nano(0.75);
+        assert_eq!(pass.settled, vec![(0, spent), (1, spent)]);
+        assert_eq!(pass.grant, None, "no pre-grant asked for");
+        assert_eq!(p.accepted().collect::<Vec<_>>(), vec![0, 1]);
+        // A second pass over the same view decides nothing new.
+        assert_eq!(p.decide(&view, u64::MAX, false, None).allocated, 0);
+
+        // Window 3 is decided first; data then lands in the gap window 2
+        // behind the decided watermark. It was never granted, so it is
+        // refused and never retroactively allocated.
+        fill(&mut view, 3, 0.75, 5);
+        assert_eq!(p.decide(&view, u64::MAX, false, None).allocated, 1);
+        fill(&mut view, 2, 0.75, 5);
+        let pass = p.decide(&view, u64::MAX, false, None);
+        assert_eq!((pass.allocated, pass.refused), (0, 1));
+        assert!(p.accountant().decision(2).is_none());
+        assert!(!p.may_publish(2));
+
+        // Late over-claim into frozen window 1: refused, spend kept.
+        fill(&mut view, 1, 0.9, 1);
+        let pass = p.decide(&view, u64::MAX, false, None);
+        assert_eq!(pass.refused, 1);
+        assert_eq!(refused(&p), vec![1, 2]);
+        assert_eq!(p.accountant().decision(1).unwrap().spent_nano, spent);
+        // Window 0 left the horizon (0 + 3 ≤ 3) but its cohort is within
+        // its books, so it stays publishable.
+        assert!(p.accountant().decision(0).is_none());
+        assert!(p.may_publish(0) && p.may_publish(3));
+    }
+
+    #[test]
+    fn publisher_holds_expired_but_live_windows_to_their_books() {
+        // Ring (5) deeper than the horizon (3): window 0 expires from the
+        // ledger while still live.
+        let mut p = publisher();
+        let mut view = ring(5);
+        for w in 0..4 {
+            fill(&mut view, w, 0.75, 5);
+        }
+        p.decide(&view, u64::MAX, false, None);
+        assert!(p.accountant().decision(0).is_none(), "window 0 expired");
+        assert!(p.may_publish(0));
+
+        // A restored publisher re-earns the status from the ledger's
+        // grant history alone.
+        let ledger = WindowBudgetAccountant::decode(&p.accountant().encode()).unwrap();
+        let mut restored = WindowPublisher::new(ledger.clone());
+        assert!(!restored.may_publish(0), "status is not persisted");
+        restored.decide(&view, u64::MAX, false, None);
+        assert_eq!(restored.accepted().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+
+        // Late reports raise window 0's max ε′ above its settled spend:
+        // refused, before and after a restore.
+        fill(&mut view, 0, 0.9, 5);
+        let pass = p.decide(&view, u64::MAX, false, None);
+        assert_eq!(pass.refused, 1);
+        assert_eq!(refused(&p), vec![0]);
+        assert!(!p.may_publish(0) && p.may_publish(3));
+        let mut restored = WindowPublisher::new(ledger);
+        restored.decide(&view, u64::MAX, false, None);
+        assert_eq!(refused(&restored), vec![0]);
+
+        // Without books: window 1 holds no data while windows up to 4
+        // are decided (only through the watermark, as the coordinator
+        // does), so it is never allocated; data arriving once it is
+        // beyond the horizon cannot be checked and is refused.
+        let mut p = publisher();
+        let mut view = ring(5);
+        for w in [0, 2, 3, 4] {
+            fill(&mut view, w, 0.75, 5);
+        }
+        p.decide(&view, 3, false, None);
+        assert_eq!(
+            p.accountant().decided(),
+            Some(3),
+            "4 is above the watermark"
+        );
+        p.decide(&view, 4, false, None);
+        fill(&mut view, 1, 0.75, 5);
+        p.decide(&view, 4, false, None);
+        assert!(p.accountant().grant_record(1).is_none());
+        assert_eq!(refused(&p), vec![1]);
+    }
+
+    #[test]
+    fn pregrant_bootstraps_then_grants_the_next_window_and_survives_restore() {
+        let mut p = publisher();
+        let mut view = ring(4);
+        view.advance_to(2);
+        // Bootstrap: no data yet, so the ring's newest window is granted.
+        let pass = p.decide(&view, u64::MAX, true, None);
+        let boot = pass.grant.unwrap();
+        assert_eq!((pass.allocated, boot.window, boot.epoch), (1, 2, 1));
+        assert_eq!(boot.granted_nano, eps_to_nano(1.0));
+        // Re-asking re-announces the standing grant unchanged.
+        let again = p.decide(&view, u64::MAX, true, None);
+        assert_eq!((again.allocated, again.grant), (0, Some(boot)));
+
+        // Once the window holds data, the next window is granted.
+        fill(&mut view, 2, 1.0, 5);
+        let pass = p.decide(&view, u64::MAX, true, None);
+        let next = pass.grant.unwrap();
+        assert_eq!((pass.allocated, next.window, next.epoch), (1, 3, 2));
+        assert!(p.may_publish(2));
+
+        // Persist writes only changed ledgers, and retries a failed write.
+        let mut writes = 0;
+        p.persist(|_| Err(std::io::Error::other("disk full")))
+            .unwrap_err();
+        p.persist(|_| {
+            writes += 1;
+            Ok(())
+        })
+        .unwrap();
+        p.persist(|_| {
+            writes += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(writes, 1);
+
+        // After a restore the standing grant is re-announced, not
+        // re-decided.
+        let ledger = WindowBudgetAccountant::decode(&p.accountant().encode()).unwrap();
+        let mut restored = WindowPublisher::new(ledger);
+        let pass = restored.decide(&view, u64::MAX, true, None);
+        assert_eq!((pass.allocated, pass.grant), (0, Some(next)));
+        assert!(restored.may_publish(2));
     }
 
     proptest! {

@@ -68,8 +68,8 @@ pub mod synthesize;
 pub use batch::{BatchEncoder, BatchRow, ReportBatch};
 pub use budget::{
     count_divergence, eps_to_nano, l1_divergence, nano_to_eps, significance_divergence,
-    window_divergence, AllocationPolicy, GrantRecord, WindowBudgetAccountant, WindowBudgetConfig,
-    WindowDecision, WindowGrant,
+    window_divergence, AllocationPolicy, GrantRecord, PublisherPass, WindowBudgetAccountant,
+    WindowBudgetConfig, WindowDecision, WindowGrant, WindowPublisher,
 };
 pub use clusterproto::{
     decode_cluster_frame, encode_cluster_frame, read_cluster_frame, write_cluster_frame,

@@ -11,11 +11,10 @@ use crate::report::Reported;
 use crate::scenario::{build_scenario, Scenario, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::time::Instant;
 use trajshare_aggregate::{
-    collect_reports, eps_to_nano, l1_divergence, nano_to_eps, score_paired, EvalConfig,
-    StreamingEstimator, Synthesizer, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig,
+    collect_reports, eps_to_nano, nano_to_eps, score_paired, EvalConfig, StreamingEstimator,
+    Synthesizer, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig, WindowPublisher,
     WindowedAggregator,
 };
 use trajshare_core::{MechanismConfig, NGramMechanism};
@@ -64,13 +63,11 @@ pub fn run(params: &ExpParams) -> Reported {
 
     // The continuous-publication budget: the experiment's ε over any
     // `NUM_WINDOWS` consecutive windows, allocated per tick by
-    // `--policy`. Divergence is measured between consecutive published
-    // occupancy estimates (lagged one tick, like a real collector).
+    // `--policy` through the service's own publication gate (divergence
+    // from debiased consecutive windows over the mechanism's graph).
     let budget_cfg =
         WindowBudgetConfig::new(eps_to_nano(params.epsilon), NUM_WINDOWS, params.policy);
-    let mut accountant = WindowBudgetAccountant::new(budget_cfg);
-    let mut refused: BTreeSet<u64> = BTreeSet::new();
-    let mut occ_history: Vec<Vec<f64>> = Vec::new();
+    let mut publisher = WindowPublisher::new(WindowBudgetAccountant::new(budget_cfg));
 
     let mut rows = Vec::new();
     for w in 0..TOTAL_WINDOWS {
@@ -83,33 +80,16 @@ pub fn run(params: &ExpParams) -> Reported {
         }
         let ingest_s = t0.elapsed().as_secs_f64();
         // Budget decision for the newly completed window before anything
-        // is published from it.
-        let divergence = match &occ_history[..] {
-            [.., a, b] => l1_divergence(a, b),
-            _ => 1.0,
-        };
-        let grant = accountant.allocate(w as u64, divergence);
-        // A tiny run can leave a window with no cohort at all — that is
-        // a legal (empty) window: it settles zero spend. Settlement is
-        // against the cohort's worst (max) per-report ε′ — the contract
-        // is per user, so the worst reporter is what must fit the grant.
-        let observed = ring.window_counts(w as u64).map_or(0, |c| c.max_eps_nano());
-        let decision = accountant.settle(w as u64, observed).expect("just decided");
-        if decision.refused {
-            refused.insert(w as u64);
-        }
-        refused.retain(|&id| id >= ring.oldest_window());
+        // is published from it. A tiny run can leave a window with no
+        // cohort at all — that is a legal (empty) window: it is never
+        // allocated and spends nothing.
+        publisher.decide(&ring, w as u64, false, Some(mech.graph()));
+        let decision = publisher.accountant().decision(w as u64);
         // ...then the publication tick runs: model + synthetic batch for
-        // the merged live span, excluding windows the accountant refused.
+        // the merged live span, excluding windows the budget refused.
         let t1 = Instant::now();
         let warm = estimator.is_warm();
-        let within_budget;
-        let tick_counts = if refused.is_empty() {
-            ring.merged()
-        } else {
-            within_budget = ring.merged_where(|id| !refused.contains(&id));
-            &within_budget
-        };
+        let tick_counts = &ring.merged_where(|id| publisher.may_publish(id));
         let has_data = tick_counts.num_reports > 0;
         let live_lo = (ring.oldest_window() as usize) * per_window;
         let live_hi = hi;
@@ -118,14 +98,11 @@ pub fn run(params: &ExpParams) -> Reported {
             .map(|t| t.len())
             .collect();
         // A tick whose every live window was refused publishes nothing —
-        // enforcement, not failure; scores are blank for that tick, the
-        // estimator is *not* ticked (a zero-count tick would poison the
-        // warm-start posterior, exactly what the service avoids), and
-        // the previous published occupancy stands for the divergence
-        // signal.
+        // enforcement, not failure; scores are blank for that tick and
+        // the estimator is *not* ticked (a zero-count tick would poison
+        // the warm-start posterior, exactly what the service avoids).
         let scores = has_data.then(|| {
             let model = estimator.tick(tick_counts, mech.graph());
-            occ_history.push(model.occupancy.clone());
             let synthesizer = Synthesizer::new(&dataset, mech.regions(), mech.graph(), &model);
             let synthetic = synthesizer.synthesize_matching(&lens, &mut rng);
             let live_real = TrajectorySet::new(real.all()[live_lo..live_hi].to_vec());
@@ -146,17 +123,19 @@ pub fn run(params: &ExpParams) -> Reported {
                 .as_ref()
                 .map_or("—".to_string(), |s| format!("{:.3}", s.od_l1)),
             params.policy.name().into(),
-            format!("{:.2}", nano_to_eps(grant.granted_nano)),
-            if decision.refused {
-                "refused".to_string()
-            } else {
-                format!("{:.2}", nano_to_eps(decision.spent_nano))
+            decision.map_or("—".to_string(), |d| {
+                format!("{:.2}", nano_to_eps(d.granted_nano))
+            }),
+            match decision {
+                None => "—".to_string(),
+                Some(d) if d.refused => "refused".to_string(),
+                Some(d) => format!("{:.2}", nano_to_eps(d.spent_nano)),
             },
         ]);
     }
     assert!(ring.evicted_windows() > 0, "run must exercise eviction");
     assert!(
-        accountant.sliding_spend_nano() <= budget_cfg.total_nano,
+        publisher.accountant().sliding_spend_nano() <= budget_cfg.total_nano,
         "the w-window contract must hold at the end of the run"
     );
 

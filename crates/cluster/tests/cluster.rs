@@ -464,6 +464,82 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
     }
 }
 
+#[test]
+fn expired_but_live_windows_stay_frozen_against_late_over_claims() {
+    use trajshare_aggregate::{
+        eps_to_nano, AllocationPolicy, StreamingEstimator, WindowBudgetConfig,
+    };
+
+    // Ring deeper than the budget horizon: window 0 is still live when
+    // its ledger entry expires from the 3-window horizon.
+    let window = WindowConfig {
+        window_len: 10,
+        num_windows: 5,
+    };
+    let (mut cfg, dir) = worker_config("expired");
+    cfg.stream.as_mut().unwrap().window = window;
+    let worker = IngestServer::start(cfg).unwrap();
+    let mut ccfg = CoordConfig::new(vec![worker.export_addr().unwrap()], vec![0u16; REGIONS]);
+    ccfg.window = Some(window);
+    ccfg.budget = Some(WindowBudgetConfig::new(
+        eps_to_nano(3.0),
+        3,
+        AllocationPolicy::Uniform,
+    ));
+    let mut coord = Coordinator::new(ccfg);
+
+    // Windows 0..=3 at ε′ = 0.75 against a 1ε uniform grant: all
+    // accepted. Deciding window 3 (and pre-granting 4) expires window 0
+    // from the ledger while the 5-deep ring keeps it live.
+    let cohort: Vec<Report> = (0..4u64)
+        .flat_map(|w| (0..50).map(move |i| grant_report(i, w * 10, 0.75)))
+        .collect();
+    assert_eq!(stream_reports(worker.addr(), &cohort, 2).unwrap(), 200);
+    let view = coord.tick();
+    assert_eq!(view.watermark, 3);
+    assert_eq!(coord.accepted_windows(), vec![0, 1, 2, 3]);
+    assert!(
+        !coord.budget_decisions().contains_key(&0),
+        "window 0 must have expired from the ledger for this test to bite"
+    );
+
+    // Late reports raise window 0's worst-case ε′ above its settled
+    // 0.75: the surplus is unaccounted, so the window must be refused
+    // instead of staying published.
+    let late: Vec<Report> = (0..5).map(|i| grant_report(i, 0, 0.9)).collect();
+    assert_eq!(stream_reports(worker.addr(), &late, 1).unwrap(), 5);
+    let view = coord.tick();
+    assert_eq!(view.merged_reports, 205);
+    assert_eq!(
+        view.refused_windows,
+        vec![0],
+        "expired-but-live window escaped the frozen-refusal guard"
+    );
+    assert_eq!(coord.accepted_windows(), vec![1, 2, 3]);
+
+    // The published model leaves window 0 out: the coordinator's first
+    // (cold) estimate equals a cold solve over windows 1..=3 alone.
+    let graph = toy_graph();
+    let ring = coord.merged_ring().unwrap();
+    let published = ring.merged_where(|id| (1..=3).contains(&id));
+    let everything = ring.merged_where(|id| id <= 3);
+    let solve = |counts: &trajshare_aggregate::AggregateCounts| {
+        let mut cold = StreamingEstimator::with_backend(
+            StreamingEstimator::DEFAULT_COLD_ITERS,
+            StreamingEstimator::DEFAULT_WARM_ITERS,
+            EstimatorBackend::default(),
+        );
+        format!("{:?}", cold.tick(counts, &graph))
+    };
+    let (published, everything) = (solve(&published), solve(&everything));
+    let model = format!("{:?}", coord.estimate(&graph).expect("published model"));
+    assert_eq!(model, published);
+    assert_ne!(model, everything);
+
+    let _ = worker.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// TSR4 frame `f`: 50 distinct toy reports sharing one ε′, in timestamp
 /// order so they batch into a single frame.
 fn tsr4_frame(f: usize) -> (Vec<Report>, Vec<u8>) {

@@ -187,17 +187,15 @@ pub fn decode_region_graph(buf: &[u8]) -> Result<(RegionGraph, Vec<u16>), GraphC
     Ok((RegionGraph::from_parts(distance, bigrams), tiles))
 }
 
-/// Writes the blob to `path` (tmp + rename so a crashed write never
-/// leaves a torn file where a daemon would look for its universe).
+/// Writes the blob to `path` atomically ([`crate::write_atomic`]), so a
+/// crashed write never leaves a torn file where a daemon would look for
+/// its universe.
 pub fn write_region_graph_file(
     path: &Path,
     graph: &RegionGraph,
     region_tiles: &[u16],
 ) -> std::io::Result<()> {
-    let bytes = encode_region_graph(graph, region_tiles);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(tmp, path)
+    crate::write_atomic(path, &encode_region_graph(graph, region_tiles))
 }
 
 /// Reads and validates a region-graph file — the `ingestd

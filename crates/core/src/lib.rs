@@ -77,3 +77,4 @@ pub use mechanism::{Mechanism, MechanismOutput, StageTimings};
 pub use ngram_mech::{NGramMechanism, PerturbedTrajectory};
 pub use region::{RegionId, RegionSet, StcRegion};
 pub use regiongraph::RegionGraph;
+pub use vio::write_atomic;

@@ -1,8 +1,27 @@
-//! Vectored-I/O helper shared by every scatter-gather socket writer in
-//! the workspace (`std::io::Write::write_all_vectored` is unstable, so
-//! the partial-write loop lives here once instead of in each caller).
+//! I/O helpers shared across the workspace: the vectored write loop
+//! every scatter-gather socket writer uses
+//! (`std::io::Write::write_all_vectored` is unstable, so the
+//! partial-write loop lives here once instead of in each caller), and
+//! the atomic file write behind every durable blob.
 
+use std::fs::File;
 use std::io::{self, IoSlice, Write};
+use std::path::{Path, PathBuf};
+
+/// Writes `bytes` to `path` atomically: a sibling `<name>.tmp` file is
+/// written and fsynced, then renamed over `path`. A crash mid-write
+/// leaves either the old file or none — never a torn one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(tmp, path)
+}
 
 /// Writes every byte of `bufs` with `write_vectored`, advancing across
 /// partial writes — the scatter-gather equivalent of `write_all`. The

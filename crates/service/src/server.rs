@@ -40,7 +40,7 @@
 //!   restarts is therefore bounded instead of unbounded.
 //! * **Budget accounting** (optional, [`StreamServerConfig::budget`]):
 //!   the maintenance thread runs a
-//!   [`trajshare_aggregate::WindowBudgetAccountant`] over the published
+//!   [`trajshare_aggregate::WindowPublisher`] over the published
 //!   windows — every window gets an ε grant under the configured
 //!   allocation policy, over-claiming windows are refused (excluded from
 //!   [`ServerHandle::estimate_window_model`]), and the ledger is
@@ -62,7 +62,6 @@
 use crate::storage::{self, Recovery, SyncPolicy, WalWriter};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use serde::Serialize;
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -76,10 +75,10 @@ use trajshare_aggregate::clusterproto::{
 use trajshare_aggregate::grant;
 use trajshare_aggregate::snapshot::crc32;
 use trajshare_aggregate::{
-    window_divergence, AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame,
-    GrantRecord, GrantSubscriber, MobilityModel, Report, ReportBatch, StreamDecoder,
-    StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig,
-    WindowedAggregator, WireFrame,
+    AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame, GrantRecord,
+    GrantSubscriber, MobilityModel, Report, ReportBatch, StreamDecoder, StreamingEstimator,
+    WindowBudgetAccountant, WindowBudgetConfig, WindowConfig, WindowPublisher, WindowedAggregator,
+    WireFrame,
 };
 use trajshare_core::RegionGraph;
 
@@ -114,12 +113,15 @@ pub struct StreamServerConfig {
     /// with a region graph flip the whole estimation chain here.
     pub backend: EstimatorBackend,
     /// Streaming privacy-budget enforcement: a `w`-window ε contract the
-    /// publication thread accounts per window
-    /// ([`trajshare_aggregate::WindowBudgetAccountant`]). Each window is
-    /// granted a share under the configured allocation policy; a window
-    /// whose cohort's worst (max) per-report ε′ exceeds its grant is
-    /// **refused** — excluded from [`ServerHandle::estimate_window_model`] and
-    /// counted in [`ServerStats::budget_refusals`]. The ledger is
+    /// publication thread runs through a
+    /// [`trajshare_aggregate::WindowPublisher`] over every live window.
+    /// Each window is granted a share under the configured allocation
+    /// policy; a window whose cohort's worst (max) per-report ε′ exceeds
+    /// its grant is **refused** — excluded from
+    /// [`ServerHandle::estimate_window_model`] and counted in
+    /// [`ServerStats::budget_refusals`]. A window that left the horizon
+    /// while the ring still holds it is refused once late reports raise
+    /// its max ε′ above the spend it settled at. The ledger is
     /// persisted (`BUDGET` file) on every decision, so the invariant
     /// *"over any `w` consecutive windows, published spend ≤ ε"*
     /// survives kill/restart. `None` (the historical behavior) publishes
@@ -449,39 +451,6 @@ struct BaseState {
     gen: u64,
 }
 
-/// The budget-holder's state: the ledger plus the derived accept/refuse
-/// sets the estimation path filters by. One mutex; lock order on any
-/// path that holds several is base → shards → budget (compaction and
-/// the decision pass both follow it).
-struct BudgetState {
-    accountant: WindowBudgetAccountant,
-    /// Live windows whose spend is on the ledger's books — the only
-    /// windows published model estimates may use. (A window absent from
-    /// both sets is not yet decided, or arrived into an already-passed
-    /// gap; either way its spend is unaccounted and it must not be
-    /// published.)
-    accepted: BTreeSet<u64>,
-    /// Live windows explicitly refused (over-grant or unaccountable).
-    refused: BTreeSet<u64>,
-    /// Last settled spend per live window, kept even after the ledger's
-    /// horizon trims the entry — the books the expired-but-live guard
-    /// settles late reports against. Rebuilt across restarts from the
-    /// rings' spend annotations (mirrored to base *and* shard rings at
-    /// settlement, so they persist with shard snapshots); a hard kill
-    /// before any snapshot loses the annotation, in which case the
-    /// window is conservatively excluded from publication (it is not in
-    /// `accepted`) rather than misreported as refused.
-    settled: std::collections::BTreeMap<u64, u64>,
-    /// Spends already mirrored onto the shard rings *this process
-    /// lifetime* — starts empty so the first decision pass after a
-    /// restart re-annotates recovered windows, then gates the mirror
-    /// writes so the steady state (no spend moved) takes no shard
-    /// locks.
-    mirrored: std::collections::BTreeMap<u64, u64>,
-    /// Ledger bytes last persisted, to skip no-op BUDGET rewrites.
-    persisted: Vec<u8>,
-}
-
 /// The budget slice of a [`StreamPublication`].
 #[derive(Debug, Clone, Serialize)]
 pub struct BudgetPublication {
@@ -505,8 +474,7 @@ pub struct BudgetPublication {
 }
 
 impl BudgetPublication {
-    fn of(state: &BudgetState) -> Self {
-        let acct = &state.accountant;
+    fn of(acct: &WindowBudgetAccountant) -> Self {
         let newest = acct.decided().and_then(|w| acct.decision(w));
         BudgetPublication {
             total_nano: acct.config().total_nano,
@@ -552,9 +520,9 @@ pub struct ServerHandle {
     /// Warm-started window-model estimator on the configured backend
     /// (streaming servers only).
     estimator: Option<Mutex<StreamingEstimator>>,
-    /// The privacy-budget ledger + refusal set (streaming servers with a
+    /// The privacy-budget publication gate (streaming servers with a
     /// budget config only).
-    budget: Option<Arc<Mutex<BudgetState>>>,
+    budget: Option<Arc<Mutex<WindowPublisher>>>,
     /// The TSGB grant board ([`StreamServerConfig::grants`] only).
     board: Option<Arc<GrantBoard>>,
     /// Per-stage hot-path profile ([`ServerConfig::profile`] only).
@@ -711,34 +679,7 @@ impl IngestServer {
                     acct
                 }
             };
-            let refused = accountant
-                .decisions()
-                .filter(|d| d.refused)
-                .map(|d| d.window)
-                .collect();
-            let accepted = accountant
-                .decisions()
-                .filter(|d| !d.refused)
-                .map(|d| d.window)
-                .collect();
-            // Books for the expired-but-live guard: the restored ring's
-            // spend annotations (they outlive the ledger horizon),
-            // overlaid by the ledger itself where it still has entries.
-            let mut settled: std::collections::BTreeMap<u64, u64> = base_ring
-                .as_ref()
-                .map(|r| r.window_spends().into_iter().collect())
-                .unwrap_or_default();
-            for d in accountant.decisions() {
-                settled.insert(d.window, d.spent_nano);
-            }
-            Arc::new(Mutex::new(BudgetState {
-                accountant,
-                accepted,
-                refused,
-                settled,
-                mirrored: std::collections::BTreeMap::new(),
-                persisted: Vec::new(),
-            }))
+            Arc::new(Mutex::new(WindowPublisher::new(accountant)))
         });
 
         let base = Arc::new(Mutex::new(BaseState {
@@ -885,11 +826,11 @@ impl ServerHandle {
     /// configured [`StreamServerConfig::backend`], warm-starting from the
     /// previous call's posterior — the embedded-deployment hook that
     /// makes the backend flag flip the whole service-side estimation
-    /// chain. With a budget configured, only windows the accountant has
-    /// *accepted* contribute — refused, not-yet-decided, and
-    /// unaccountable gap windows are excluded, so publication only ever
-    /// uses data whose spend the ledger accounts. `None` when the
-    /// server is not streaming, `graph` does not match the server's
+    /// chain. With a budget configured, only windows the
+    /// [`WindowPublisher`] may publish contribute — refused,
+    /// not-yet-decided, and unaccountable gap windows are excluded, so
+    /// publication only ever uses data whose spend the ledger accounts.
+    /// `None` when the server is not streaming, `graph` does not match the server's
     /// region universe (a graph-less `ingestd` has no graph to offer —
     /// see `--region-graph`), or the budget-filtered view is empty — a
     /// tick over zero counts would both publish a meaningless model and
@@ -900,14 +841,11 @@ impl ServerHandle {
         if view.merged().num_regions != graph.num_regions() {
             return None;
         }
-        let accepted: Option<BTreeSet<u64>> = self
-            .budget
-            .as_ref()
-            .map(|state| state.lock().unwrap().accepted.clone());
         let within;
-        let counts = match &accepted {
-            Some(accepted) => {
-                within = view.merged_where(|id| accepted.contains(&id));
+        let counts = match &self.budget {
+            Some(publisher) => {
+                let publisher = publisher.lock().unwrap();
+                within = view.merged_where(|id| publisher.may_publish(id));
                 &within
             }
             None => view.merged(),
@@ -923,7 +861,7 @@ impl ServerHandle {
     pub fn budget_ledger(&self) -> Option<WindowBudgetAccountant> {
         self.budget
             .as_ref()
-            .map(|state| state.lock().unwrap().accountant.clone())
+            .map(|publisher| publisher.lock().unwrap().accountant().clone())
     }
 
     /// The accountant's grant history — (window, epoch, granted ε′,
@@ -934,14 +872,9 @@ impl ServerHandle {
     pub fn budget_grant_history(&self) -> Vec<GrantRecord> {
         self.budget
             .as_ref()
-            .map(|state| {
-                state
-                    .lock()
-                    .unwrap()
-                    .accountant
-                    .grant_history()
-                    .copied()
-                    .collect()
+            .map(|publisher| {
+                let publisher = publisher.lock().unwrap();
+                publisher.accountant().grant_history().copied().collect()
             })
             .unwrap_or_default()
     }
@@ -971,7 +904,7 @@ impl ServerHandle {
     pub fn budget_refused_windows(&self) -> Vec<u64> {
         self.budget
             .as_ref()
-            .map(|state| state.lock().unwrap().refused.iter().copied().collect())
+            .map(|publisher| publisher.lock().unwrap().refused().collect())
             .unwrap_or_default()
     }
 
@@ -1061,18 +994,17 @@ fn worker_loop(
     }
 }
 
-/// Runs the per-window budget decisions over the current merged view:
-/// allocate every newly seen window (divergence via
-/// [`window_divergence`] on consecutive windows), settle each
-/// live window's observed worst-case (max) per-report ε′ against its
-/// grant, maintain the accept/refuse sets, mirror spends into the base
-/// ring, pre-allocate and return the *next* window's grant when the
-/// grant session is on, and persist the ledger when it changed — the
-/// persist happens before the caller can broadcast the returned grant,
-/// so a grant a client ever saw is always on disk and a restart can
-/// never re-decide it differently.
+/// Runs one [`WindowPublisher::decide`] pass over the current merged
+/// view (every live window; pre-granting the next window when the grant
+/// session is on), mirrors the settled spends onto the base ring *and*
+/// every shard ring holding the window — base-ring slots hold no data
+/// until compaction, so the shard mirrors are what persist with the next
+/// shard snapshot — and persists the ledger when it changed. The persist
+/// happens before the caller can broadcast the returned grant, so a
+/// grant a client ever saw is always on disk and a restart can never
+/// re-decide it differently.
 ///
-/// Lock order: base, then budget, then (briefly, per mirrored spend)
+/// Lock order: base, then budget, then (briefly, for the mirrors)
 /// individual shards. Taking a shard lock while holding base + budget
 /// cannot deadlock: every other multi-lock path (compaction, counts,
 /// merged views) acquires *base first* — which this thread holds — and
@@ -1080,187 +1012,43 @@ fn worker_loop(
 fn run_budget_decisions(
     config: &ServerConfig,
     view: &WindowedAggregator,
-    state: &Mutex<BudgetState>,
+    publisher: &Mutex<WindowPublisher>,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
     stats: &ServerStats,
 ) -> std::io::Result<Option<GrantFrame>> {
-    let graph = config.stream.as_ref().and_then(|s| s.graph.as_deref());
-    let grants = config.stream.as_ref().is_some_and(|s| s.grants);
+    let stream = config.stream.as_ref();
+    let graph = stream.and_then(|s| s.graph.as_deref());
+    let grants = stream.is_some_and(|s| s.grants);
     let mut base_guard = base.lock().unwrap();
-    let mut guard = state.lock().unwrap();
-    let windows = view.windows();
-    // Settled spends to mirror onto the shard rings, applied in one
-    // lock round-trip per shard after the loop.
-    let mut mirrors: Vec<(u64, u64)> = Vec::with_capacity(windows.len());
-    for (i, &(id, counts)) in windows.iter().enumerate() {
-        // Worst-case per-user spend this window's cohort claims, nano-ε:
-        // the *max* per-report ε′, not the mean — the `w`-window
-        // contract is per user, so settlement must bound the worst
-        // reporter (one ε′ = 64 report hiding among thousands at 0.01
-        // must still refuse the window).
-        let observed = counts.max_eps_nano();
-        if guard.accountant.decided().is_none_or(|d| id > d) {
-            // Divergence signal: this window's occupancy vs the previous
-            // live window's. A cold start (nothing to compare) counts as
-            // a full shift — the policy buys data when it knows nothing.
-            let divergence = match i.checked_sub(1).map(|j| windows[j]) {
-                Some((prev_id, prev)) if prev_id + 1 == id => {
-                    window_divergence(graph, prev, counts)
-                }
-                _ => 1.0,
-            };
-            guard.accountant.allocate(id, divergence);
-            stats.bump(&stats.budget_decisions);
+    let mut publisher = publisher.lock().unwrap();
+    let pass = publisher.decide(view, u64::MAX, grants, graph);
+    stats
+        .budget_decisions
+        .fetch_add(pass.allocated, Ordering::Relaxed);
+    stats
+        .budget_refusals
+        .fetch_add(pass.refused, Ordering::Relaxed);
+    let mirror = |ring: &mut WindowedAggregator| {
+        for &(id, spent) in &pass.settled {
+            ring.record_spend(id, spent);
         }
-        match guard.accountant.settle(id, observed) {
-            Some(decision) => {
-                if decision.refused {
-                    guard.accepted.remove(&id);
-                    if guard.refused.insert(id) {
-                        stats.bump(&stats.budget_refusals);
-                    }
-                } else {
-                    guard.refused.remove(&id);
-                    guard.accepted.insert(id);
-                }
-                // Record the settled spend in the live books and mirror
-                // it onto the base ring *and* every shard ring holding
-                // the window — base-ring slots hold no data until
-                // compaction, so the shard mirrors are what actually
-                // persist (with the next shard snapshot) and what
-                // recovery's `window_spends()` reseeds the books from.
-                // All writes are unconditional — a window settled down
-                // to 0 must overwrite any stale nonzero value — and are
-                // captured *inside* the loop from the returned decision:
-                // deciding several windows in one pass can trim the
-                // oldest ledger entry before a post-loop ledger sweep
-                // would see it.
-                guard.settled.insert(id, decision.spent_nano);
-                if let Some(ring) = &mut base_guard.ring {
-                    ring.record_spend(id, decision.spent_nano);
-                }
-                if guard.mirrored.get(&id) != Some(&decision.spent_nano) {
-                    guard.mirrored.insert(id, decision.spent_nano);
-                    mirrors.push((id, decision.spent_nano));
-                }
-            }
-            // No ledger entry: the window appeared *behind* the decided
-            // watermark (data landed in a still-live gap window after a
-            // newer one was decided — client-declared timestamps arrive
-            // in any order). It can never be granted retroactively, so
-            // its spend is unaccountable and its data must not be
-            // published. Windows whose entry merely *expired* from the
-            // horizon (a ring deeper than the budget horizon keeps them
-            // live) are held to the frozen-window rule against the books
-            // recorded when they settled.
-            None => {
-                let decided = guard.accountant.decided().unwrap_or(0);
-                let horizon = guard.accountant.config().horizon as u64;
-                let expired = id < decided && decided - id >= horizon;
-                if expired {
-                    // Late reports raising the cohort's claim above the
-                    // recorded spend are unaccounted surplus: refuse the
-                    // window, exactly as settle() refuses a frozen
-                    // in-horizon window. At or below the books the
-                    // window is fully accounted and stays (or, after a
-                    // restart rebuilt `accepted` from the trimmed
-                    // ledger, becomes again) accepted — unless it
-                    // carries a sticky frozen refusal, which only the
-                    // over-claim path sets and whose books are the
-                    // grant its observed max already exceeds. Books
-                    // unknown (a hard kill lost the annotation before
-                    // any snapshot): the window is conservatively
-                    // excluded from publication — it cannot be in
-                    // `accepted` post-restart — and refusing it would
-                    // misreport a fully-accounted window, so it keeps
-                    // its earned status.
-                    if let Some(&recorded) = guard.settled.get(&id) {
-                        if observed > recorded {
-                            guard.accepted.remove(&id);
-                            if guard.refused.insert(id) {
-                                stats.bump(&stats.budget_refusals);
-                            }
-                        } else if !guard.refused.contains(&id) {
-                            guard.accepted.insert(id);
-                        }
-                    }
-                } else if !guard.accepted.contains(&id) && guard.refused.insert(id) {
-                    stats.bump(&stats.budget_refusals);
-                }
-            }
-        }
-    }
-    // Grant-session pre-allocation: decide the *next* window's ε′ now —
-    // before any of its data exists — so subscribed clients can
-    // randomize at the announced rate and settlement later observes
-    // spend == grant. Bootstrap (no data at all) grants the ring's
-    // current newest window, the first one clients will fill. The
-    // signal for the upcoming window is the shift between the two
-    // newest observed windows (a cold start counts as a full shift —
-    // the policy buys data when it knows nothing). When the window was
-    // already decided (an earlier tick, or a restored ledger after
-    // restart), the standing decision is re-announced unchanged — the
-    // board dedupes, and a restarted node's empty board needs the
-    // current grant back for late joiners.
-    let announce = if grants {
-        let next = if view.merged().num_reports == 0 {
-            view.newest_window()
-        } else {
-            view.newest_window() + 1
-        };
-        if guard.accountant.decided().is_none_or(|d| next > d) {
-            let divergence = match windows.len().checked_sub(2) {
-                Some(j) if windows[j].0 + 1 == windows[j + 1].0 => {
-                    window_divergence(graph, windows[j].1, windows[j + 1].1)
-                }
-                _ => 1.0,
-            };
-            let g = guard.accountant.allocate(next, divergence);
-            stats.bump(&stats.budget_decisions);
-            Some(GrantFrame {
-                epoch: g.epoch,
-                window: g.window,
-                granted_nano: g.granted_nano,
-            })
-        } else {
-            guard.accountant.latest_grant().map(|r| GrantFrame {
-                epoch: r.epoch,
-                window: r.window,
-                granted_nano: r.granted_nano,
-            })
-        }
-    } else {
-        None
     };
-    // Books for windows that slid out of the ring no longer gate
-    // anything: the expired-but-live guard above only consults them for
-    // windows still in the view, and publication only filters live
-    // windows. (The budget *horizon* needs no books at all — the
-    // accountant's ledger and grant history are self-contained and
-    // survive independently of ring retention, which is what lets `w`
-    // exceed the ring depth.)
-    let oldest = view.oldest_window();
-    guard.refused.retain(|&id| id >= oldest);
-    guard.accepted.retain(|&id| id >= oldest);
-    guard.settled.retain(|&id, _| id >= oldest);
-    guard.mirrored.retain(|&id, _| id >= oldest);
-    if !mirrors.is_empty() {
+    if !pass.settled.is_empty() {
+        if let Some(ring) = &mut base_guard.ring {
+            mirror(ring);
+        }
         for shard in shards {
             if let Some(ring) = &mut shard.lock().unwrap().ring {
-                for &(id, spent) in &mirrors {
-                    ring.record_spend(id, spent);
-                }
+                mirror(ring);
             }
         }
     }
     drop(base_guard);
-    let encoded = guard.accountant.encode();
-    if encoded != guard.persisted {
-        storage::write_blob_atomic(&storage::budget_path(&config.data_dir), &encoded)?;
-        guard.persisted = encoded;
-    }
-    Ok(announce)
+    publisher.persist(|ledger| {
+        trajshare_core::write_atomic(&storage::budget_path(&config.data_dir), ledger)
+    })?;
+    Ok(pass.grant)
 }
 
 /// The maintenance thread: publishes the merged sliding-window view
@@ -1274,7 +1062,7 @@ fn maintenance_loop(
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
     latest: Arc<Mutex<Option<StreamPublication>>>,
-    budget: Option<Arc<Mutex<BudgetState>>>,
+    budget: Option<Arc<Mutex<WindowPublisher>>>,
     board: Option<Arc<GrantBoard>>,
 ) {
     let publish_every = config.stream.as_ref().map(|s| s.publish_every);
@@ -1301,8 +1089,10 @@ fn maintenance_loop(
                     // Budget decisions run against the same view the
                     // publication describes, so the published accounting
                     // is never ahead of or behind the window list.
-                    let budget_pub = budget.as_ref().map(|state| {
-                        match run_budget_decisions(&config, &view, state, &base, &shards, &stats) {
+                    let budget_pub = budget.as_ref().map(|publisher| {
+                        match run_budget_decisions(
+                            &config, &view, publisher, &base, &shards, &stats,
+                        ) {
                             // The grant is broadcast only after the
                             // decision behind it is persisted (see
                             // run_budget_decisions): no client ever
@@ -1319,7 +1109,7 @@ fn maintenance_loop(
                             Ok(None) => {}
                             Err(_) => stats.bump(&stats.io_errors),
                         }
-                        BudgetPublication::of(&state.lock().unwrap())
+                        BudgetPublication::of(publisher.lock().unwrap().accountant())
                     });
                     seq += 1;
                     let publication = StreamPublication {
@@ -1495,7 +1285,7 @@ fn compact_online(
     config: &ServerConfig,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
-    budget: Option<&Mutex<BudgetState>>,
+    budget: Option<&Mutex<WindowPublisher>>,
 ) -> std::io::Result<()> {
     let mut base_guard = base.lock().unwrap();
     let mut guards: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
@@ -1521,11 +1311,11 @@ fn compact_online(
         // (which never carry spend annotations), and the compacted ring
         // file is what recovery seeds a fresh accountant from when the
         // BUDGET ledger is absent or superseded.
-        if let Some(state) = budget {
-            let guard = state.lock().unwrap();
+        if let Some(publisher) = budget {
+            let publisher = publisher.lock().unwrap();
             // Unconditional: a window settled to 0 must overwrite any
             // stale nonzero annotation merged in from the old base ring.
-            for d in guard.accountant.decisions() {
+            for d in publisher.accountant().decisions() {
                 ring.record_spend(d.window, d.spent_nano);
             }
         }
@@ -1539,7 +1329,7 @@ fn compact_online(
         &total,
     )?;
     if let Some(ring) = &ring_total {
-        storage::write_blob_atomic(
+        trajshare_core::write_atomic(
             &storage::ring_path(&config.data_dir, new_gen),
             &ring.encode_ring(),
         )?;

@@ -69,6 +69,7 @@ use trajshare_aggregate::{
     AggregateCounts, Aggregator, Report, ReportBatch, WindowBudgetAccountant, WindowConfig,
     WindowedAggregator,
 };
+use trajshare_core::write_atomic;
 
 /// Manifest magic ("TrajShare ManiFest").
 const MANIFEST_MAGIC: [u8; 4] = *b"TSMF";
@@ -76,9 +77,9 @@ const MANIFEST_MAGIC: [u8; 4] = *b"TSMF";
 const SHARD_MAGIC: [u8; 4] = *b"TSSH";
 /// Version of the manifest header.
 const STORAGE_VERSION: u16 = 1;
-/// Current shard-counts header version: v2 appends an embedded window
-/// ring (possibly empty) after the counts snapshot. v1 files (no ring
-/// length field) remain readable.
+/// Shard-counts header version (the only one that decodes): the counts
+/// snapshot length, then an embedded window ring (possibly empty) after
+/// the counts snapshot.
 const SHARD_VERSION: u16 = 2;
 /// WAL record header: payload length + payload CRC.
 const WAL_RECORD_HEADER: usize = 8;
@@ -151,13 +152,7 @@ pub fn write_manifest(dir: &Path, gen: u64) -> std::io::Result<()> {
     bytes.extend_from_slice(&gen.to_le_bytes());
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(tmp, manifest_path(dir))
+    write_atomic(&manifest_path(dir), &bytes)
 }
 
 /// When (if ever) the WAL forces data onto stable storage.
@@ -478,7 +473,7 @@ pub fn write_shard_counts(
     bytes.extend_from_slice(&SHARD_MAGIC);
     bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
     bytes.extend_from_slice(&wal_offset.to_le_bytes());
-    // v2: the counts-snapshot length, so the ring's start is explicit.
+    // The counts-snapshot length, so the ring's start is explicit.
     bytes.extend_from_slice(&(counts_snap.len() as u64).to_le_bytes());
     // The embedded snapshots carry their own CRCs; this one guards the
     // header — above all the covered-offset field, where a silent flip
@@ -489,12 +484,11 @@ pub fn write_shard_counts(
     if let Some(ring) = ring {
         bytes.extend_from_slice(ring);
     }
-    write_blob_atomic(path, &bytes)
+    write_atomic(path, &bytes)
 }
 
 /// Reads a shard counter file back as `(counts, covered WAL offset, raw
 /// ring blob)`, validating the header CRC before trusting the offset.
-/// v1 files (pre-streaming) decode with no ring.
 pub fn read_shard_counts(
     path: &Path,
 ) -> Result<(AggregateCounts, u64, Option<Vec<u8>>), SnapshotError> {
@@ -506,40 +500,26 @@ pub fn read_shard_counts(
         return Err(SnapshotError::BadMagic);
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    match version {
-        1 => {
-            if bytes.len() < 18 {
-                return Err(SnapshotError::Truncated);
-            }
-            let stored_crc = u32::from_le_bytes(bytes[14..18].try_into().unwrap());
-            if crc32(&bytes[..14]) != stored_crc {
-                return Err(SnapshotError::BadCrc);
-            }
-            let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-            let counts = AggregateCounts::decode_snapshot(&bytes[18..])?;
-            Ok((counts, offset, None))
-        }
-        2 => {
-            const HEADER: usize = 4 + 2 + 8 + 8;
-            if bytes.len() < HEADER + 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            let stored_crc = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap());
-            if crc32(&bytes[..HEADER]) != stored_crc {
-                return Err(SnapshotError::BadCrc);
-            }
-            let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-            let counts_len = u64::from_le_bytes(bytes[14..22].try_into().unwrap()) as usize;
-            let body = &bytes[HEADER + 4..];
-            if body.len() < counts_len {
-                return Err(SnapshotError::Truncated);
-            }
-            let counts = AggregateCounts::decode_snapshot(&body[..counts_len])?;
-            let ring = &body[counts_len..];
-            Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
-        }
-        v => Err(SnapshotError::UnsupportedVersion(v)),
+    if version != SHARD_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
+    const HEADER: usize = 4 + 2 + 8 + 8;
+    if bytes.len() < HEADER + 4 {
+        return Err(SnapshotError::Truncated);
+    }
+    let stored_crc = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap());
+    if crc32(&bytes[..HEADER]) != stored_crc {
+        return Err(SnapshotError::BadCrc);
+    }
+    let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
+    let counts_len = u64::from_le_bytes(bytes[14..22].try_into().unwrap()) as usize;
+    let body = &bytes[HEADER + 4..];
+    if body.len() < counts_len {
+        return Err(SnapshotError::Truncated);
+    }
+    let counts = AggregateCounts::decode_snapshot(&body[..counts_len])?;
+    let ring = &body[counts_len..];
+    Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
 }
 
 /// Everything [`recover`] reconstructed and compacted.
@@ -678,7 +658,7 @@ pub(crate) fn recover_locked(
     // generation swept.
     write_snapshot_file(&base_path(dir, rec.gen), &rec.counts)?;
     match &rec.ring {
-        Some(ring) => write_blob_atomic(&ring_path(dir, rec.gen), &ring.encode_ring())?,
+        Some(ring) => write_atomic(&ring_path(dir, rec.gen), &ring.encode_ring())?,
         // Not streaming: make sure no stale ring file (e.g. from a
         // crashed online compaction into this same generation number)
         // survives into the generation we are about to commit.
@@ -689,18 +669,6 @@ pub(crate) fn recover_locked(
     write_manifest(dir, rec.gen)?;
     sweep_stale_generations(dir, rec.gen);
     Ok(rec)
-}
-
-/// Atomic small-file write: tmp + fsync + rename (the manifest/snapshot
-/// idiom, for blobs that already self-validate).
-pub(crate) fn write_blob_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(tmp, path)
 }
 
 /// The shared reconstruction pass behind [`recover`] and [`load`]:
@@ -997,8 +965,15 @@ mod tests {
         bytes[8] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read_shard_counts(&path).unwrap_err(), SnapshotError::BadCrc);
+        // The retired v1 header is refused by version.
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            read_shard_counts(&path).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        );
 
-        // v2 with an embedded ring roundtrips both parts.
+        // An embedded ring roundtrips with the counts.
         let mut ring = WindowedAggregator::new(vec![0; 5], WINDOW);
         for i in 0..20 {
             ring.ingest(&toy_report(i));
